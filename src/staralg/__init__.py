@@ -52,6 +52,7 @@ from .mathieu import (
     DegreeCapExceeded,
     ExperimentReport,
     MembershipOracle,
+    OracleDisagreement,
     basis_power_scan,
     image_linear_witness,
     in_image_ev0,
@@ -79,6 +80,7 @@ __all__ = [
     "LaguerreSpec",
     "MembershipOracle",
     "MultiIndex",
+    "OracleDisagreement",
     "OutputRecord",
     "ParseError",
     "Poly",

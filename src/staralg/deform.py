@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from math import comb, lcm, perm
 
 from .poly import (
     MultiIndex,
     Poly,
-    grlex_key,
+    TermKey,
     mi_factorial,
     mi_le,
     mi_sub,
@@ -67,26 +67,31 @@ def cross_laplacian(f: Poly) -> Poly:
 
 
 def phi(ctx: StarContext, f: Poly) -> Poly:
-    """exp(t * cross_laplacian) applied to f.
+    """exp(t * cross_laplacian) applied to f, termwise in closed form:
 
-    The series terminates after at most min(deg_x f, deg_z f) + 1 terms
-    because each cross_laplacian application kills a matched x/z pair.
-    phi with parameter -t is the exact inverse.
+        phi_t(x^a z^b) = sum over gamma <= min(a, b) of t^|gamma| * x^(a-gamma) z^(b-gamma)
+                         * prod_i C(a_i, gamma_i) * b_i! / (b_i - gamma_i)!,
+
+    summed in integers over one common denominator.  phi_{-t} is the inverse.
     """
     ctx.check(f)
-    if ctx.t == 0:
+    depth = max((sum(map(min, xe, ze)) for xe, ze in f.terms), default=0)  # max |gamma|
+    if ctx.t == 0 or depth == 0:
         return f
-    acc = f
-    cur = f
-    weight = Fraction(1)
-    m = 1
-    while True:
-        cur = cross_laplacian(cur)
-        if cur.is_zero():
-            return acc
-        weight *= Fraction(ctx.t, m)  # t^m / m!
-        acc = acc + cur * weight
-        m += 1
+    p, q = ctx.t.numerator, ctx.t.denominator
+    t_pow = [p ** k * q ** (depth - k) for k in range(depth + 1)]  # t^k * q^depth
+    denom = lcm(*(c.denominator for c in f.terms.values()))
+    out: dict[TermKey, int] = {}
+    for (xe, ze), c in f.terms.items():
+        # (x exponent, z exponent, integer weight, |gamma|), one coordinate at a time
+        partial = [((), (), c.numerator * (denom // c.denominator), 0)]
+        for a, b in zip(xe, ze):
+            partial = [(xp + (a - g,), zp + (b - g,), w * comb(a, g) * perm(b, g), k + g)
+                       for xp, zp, w, k in partial for g in range(min(a, b) + 1)]
+        for xp, zp, w, k in partial:
+            out[(xp, zp)] = out.get((xp, zp), 0) + w * t_pow[k]
+    scale = denom * q ** depth
+    return Poly(f.n, {key: Fraction(v, scale) for key, v in out.items() if v})
 
 
 def _partial_closure(f: Poly, kind: str) -> dict[MultiIndex, Poly]:
@@ -176,41 +181,18 @@ def star_via_subst_z(ctx: StarContext, p: Poly, g: Poly) -> Poly:
 
 
 def star_monomial(ctx: StarContext, alpha: MultiIndex, beta: MultiIndex) -> Poly:
-    """x^alpha star_t z^beta, via the closed binomial sum.
-
-    Independent of the generic ``star`` path: equals star(x^alpha, z^beta)
-    and also phi_{-t}(x^alpha z^beta).
-    """
+    """x^alpha star_t z^beta, computed as phi_{-t}(x^alpha z^beta)."""
     if len(alpha) != ctx.n or len(beta) != ctx.n:
         raise ValueError(f"multi-index length != dimension {ctx.n}")
-    terms = {}
-    for gamma in _boxed(tuple(min(a, b) for a, b in zip(alpha, beta))):
-        c = Fraction((-ctx.t) ** mi_sum(gamma), mi_factorial(gamma))
-        c *= Fraction(mi_factorial(alpha), mi_factorial(mi_sub(alpha, gamma)))
-        c *= Fraction(mi_factorial(beta), mi_factorial(mi_sub(beta, gamma)))
-        terms[(mi_sub(alpha, gamma), mi_sub(beta, gamma))] = c
-    return Poly(ctx.n, terms)
-
-
-def _boxed(bound: MultiIndex) -> Iterator[MultiIndex]:
-    """All multi-indices g with g <= bound componentwise."""
-    if not bound:
-        yield ()
-        return
-    for head in range(bound[0] + 1):
-        for tail in _boxed(bound[1:]):
-            yield (head,) + tail
+    return phi(StarContext(ctx.n, -ctx.t), Poly.monomial(ctx.n, alpha, beta))
 
 
 def star_pow(ctx: StarContext, f: Poly, m: int) -> Poly:
-    """m-fold star_t power of f; m = 0 yields the constant 1."""
+    """m-fold star_t power of f (1 for m = 0), as phi_{-t}(phi_t(f) ** m)."""
     ctx.check(f)
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"power must be a non-negative integer, got {m!r}")
-    result = Poly.const(ctx.n, 1)
-    for _ in range(m):
-        result = star(ctx, result, f)
-    return result
+    return phi(StarContext(ctx.n, -ctx.t), phi(ctx, f) ** m)
 
 
 def star_ev0(ctx: StarContext, f: Poly) -> Poly:
@@ -247,13 +229,11 @@ class StarTaylor:
     coefficients: dict[MultiIndex, Poly]
 
     def reconstruct(self) -> Poly:
-        """Re-assemble the source polynomial exactly."""
-        ctx = StarContext(self.n, self.t)
-        total = Poly.zero(self.n)
-        for alpha in sorted(self.coefficients, key=lambda a: grlex_key((a, mi_zero(self.n)))):
-            xa = Poly.xi_monomial(self.n, alpha)
-            total = total + star(ctx, xa, self.coefficients[alpha]) / mi_factorial(alpha)
-        return total
+        """Re-assemble the source polynomial exactly, as phi_{-t}(sum_a x^a c_a / a!):
+        phi_t fixes x^a and each c_a in Q[z], so x^a star_t c_a = phi_{-t}(x^a c_a)."""
+        terms = {(alpha, ze): coeff / mi_factorial(alpha)
+                 for alpha, c in self.coefficients.items() for (_, ze), coeff in c.terms.items()}
+        return phi(StarContext(self.n, -self.t), Poly(self.n, terms))
 
 
 def star_taylor(ctx: StarContext, f: Poly) -> StarTaylor:

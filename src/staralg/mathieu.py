@@ -17,8 +17,10 @@ weight integral of p vanishes.
 
 The power-experiment harness computes star (or ordinary) powers f^m for
 m = 1..mmax, records membership of each power and of b*f^m, and reports the
-first stable tail index if one appears in range.  All output is evidence at
-a truncated range, never a proof of anything.
+first stable tail index if one appears in range.  Star powers are computed
+in flow coordinates, where phi_t turns star_t into the ordinary product;
+the oracles and the printed payloads see them in the original coordinates.
+All output is evidence at a truncated range, never a proof of anything.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .deform import StarContext, star, star_ev0
+from .deform import StarContext, phi, star_ev0
 from .laguerre import integrate_weight
 from .poly import (
     MultiIndex,
     Poly,
     TermKey,
+    compositions,
     grlex_key,
     iter_multiindices,
     mi_sum,
@@ -45,6 +48,10 @@ DEFAULT_DEGREE_CAP = 40
 
 class DegreeCapExceeded(RuntimeError):
     """An intermediate power exceeded the configured total-degree cap."""
+
+
+class OracleDisagreement(RuntimeError):
+    """A membership verdict contradicts the closed form: an internal fault."""
 
 
 def in_image_ev0(ctx: StarContext, p: Poly) -> bool:
@@ -92,10 +99,7 @@ def _solve_graded_component(ctx: StarContext, q: Poly, grade: int,
     columns: list[tuple[int, TermKey]] = []
     for total in range(bound + 1):
         for xe in iter_multiindices(n, total):
-            ztotal = total - mi_sum(xe)
-            for ze in iter_multiindices(n, ztotal):
-                if mi_sum(ze) != ztotal:
-                    continue
+            for ze in compositions(n, total - mi_sum(xe)):
                 if mi_sum(xe) - mi_sum(ze) != grade - 1:
                     continue
                 for i in range(n):
@@ -220,7 +224,10 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
 
     power_kind "star" pairs with the image oracles (powers and the b-product
     taken with star_t); "ordinary" pairs with the Laguerre-span oracle.
-    Raises DegreeCapExceeded if an intermediate power outgrows degree_cap.
+    Powers and products are ordinary products in flow coordinates (phi_t;
+    the identity for ordinary powers), mapped back by phi_{-t} for the oracle.
+    Raises DegreeCapExceeded if an intermediate power outgrows degree_cap, and
+    OracleDisagreement if an image-oracle verdict contradicts the closed form.
     """
     if mmax < 1:
         raise ValueError(f"mmax must be >= 1, got {mmax}")
@@ -229,30 +236,41 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
     if power_kind == "star":
         if not oracle.kind.startswith("image_"):
             raise ValueError("star powers pair with the image oracles")
-        ctx = StarContext(f.n, oracle.t)
-        mul = lambda a, c: star(ctx, a, c)
+        t = oracle.t
     elif power_kind == "ordinary":
         if oracle.kind != "laguerre_span":
             raise ValueError("ordinary powers pair with the laguerre_span oracle")
-        mul = lambda a, c: a * c
+        t = Fraction(0)  # star_0 is the ordinary product and phi_0 the identity
     else:
         raise ValueError(f"unknown power kind {power_kind!r}")
+    ctx, back = StarContext(f.n, t), StarContext(f.n, -t)
+    flow_f, flow_b = phi(ctx, f), phi(ctx, b)
+    # star_ev0 maps onto Q[z], which has no zero divisors: f^m is in the image
+    # iff star_ev0(f) = 0, and b star f^m iff star_ev0(f) = 0 or star_ev0(b) = 0.
+    f_in = star_ev0(ctx, f).is_zero()
+    closed_form = (f_in, f_in or star_ev0(ctx, b).is_zero())
 
     power_member = []
     product_member = []
     products = []
-    power = Poly.const(f.n, 1)
+    flow_power = Poly.const(f.n, 1)
     for m in range(1, mmax + 1):
-        power = mul(power, f)
-        if power.degree().total > degree_cap:
+        # phi preserves total degree, so the caps apply in flow coordinates
+        flow_power = flow_power * flow_f
+        if flow_power.degree().total > degree_cap:
             raise DegreeCapExceeded(
-                f"degree of f^{m} is {power.degree().total}, above the cap {degree_cap}")
-        product = mul(b, power)
-        if product.degree().total > degree_cap:
+                f"degree of f^{m} is {flow_power.degree().total}, above the cap {degree_cap}")
+        flow_product = flow_b * flow_power
+        if flow_product.degree().total > degree_cap:
             raise DegreeCapExceeded(
-                f"degree of b*f^{m} is {product.degree().total}, above the cap {degree_cap}")
-        power_member.append(oracle.contains(power))
-        product_member.append(oracle.contains(product))
+                f"degree of b*f^{m} is {flow_product.degree().total}, above the cap {degree_cap}")
+        product = phi(back, flow_product)
+        verdicts = (oracle.contains(phi(back, flow_power)), oracle.contains(product))
+        if power_kind == "star" and verdicts != closed_form:
+            raise OracleDisagreement(f"oracle {oracle.kind} at m={m} gives (power, product) "
+                                     f"membership {verdicts}, star_ev0 gives {closed_form}")
+        power_member.append(verdicts[0])
+        product_member.append(verdicts[1])
         products.append(product)
 
     first_stable = None
@@ -317,10 +335,8 @@ def oracle_equivalence_scan(t: Fraction, n: int, degmax: int,
 
     for total in range(degmax + 1):
         for xe in iter_multiindices(n, total):
-            rest = total - mi_sum(xe)
-            for ze in iter_multiindices(n, rest):
-                if mi_sum(ze) == rest:
-                    probe(Poly.monomial(n, xe, ze), "monomial")
+            for ze in compositions(n, total - mi_sum(xe)):
+                probe(Poly.monomial(n, xe, ze), "monomial")
     rng = random.Random(seed)
     for _ in range(random_count):
         probe(random_poly(rng, n, degmax), "random")
@@ -341,12 +357,9 @@ def basis_power_scan(t: Fraction, n: int, degmax: int, mmax: int,
     reports = []
     for total in range(degmax + 1):
         for xe in iter_multiindices(n, total):
-            rest = total - mi_sum(xe)
             if mi_sum(xe) == 0:
                 continue  # candidates come from the x-generated ideal
-            for ze in iter_multiindices(n, rest):
-                if mi_sum(ze) != rest:
-                    continue
+            for ze in compositions(n, total - mi_sum(xe)):
                 f = Poly.monomial(n, xe, ze)
                 reports.append(power_experiment(oracle, f, b, mmax, "star",
                                                 degree_cap=degree_cap))

@@ -83,15 +83,16 @@ def iter_multiindices(n: int, max_total: int) -> Iterator[MultiIndex]:
     if max_total < 0:
         return
     for total in range(max_total + 1):
-        yield from _compositions(n, total)
+        yield from compositions(n, total)
 
 
-def _compositions(n: int, total: int) -> Iterator[MultiIndex]:
+def compositions(n: int, total: int) -> Iterator[MultiIndex]:
+    """All multi-indices of length n with |a| == total, in grlex order."""
     if n == 1:
         yield (total,)
         return
     for head in range(total, -1, -1):
-        for tail in _compositions(n - 1, total - head):
+        for tail in compositions(n - 1, total - head):
             yield (head,) + tail
 
 

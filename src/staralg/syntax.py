@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .poly import Poly, grlex_key
 from .weyl import WeylOp
@@ -79,7 +79,8 @@ class Pow:
     exponent: int
 
 
-Expr = Union[Num, Var, Neg, Add, Mul, Pow]
+if TYPE_CHECKING:  # a runtime Union stays in typing's cache and pins re-imported modules
+    Expr = Union[Num, Var, Neg, Add, Mul, Pow]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+from hypothesis import settings
 
 from staralg.poly import Poly
+
+# Reproducible runs (select with --hypothesis-profile=ci); example counts
+# stay as each test sets them.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def coefficients():

@@ -22,6 +22,7 @@ from staralg.deform import (
 from staralg.poly import Poly, iter_multiindices
 
 from conftest import polys, small_t, xi_only_polys, z_only_polys
+from reference import phi_series, star_power_loop
 
 
 def ctx1(t=1):
@@ -55,6 +56,14 @@ def test_phi_worked_examples():
     assert phi(ctx1(1), xi() * z()) == xi() * z() + Poly.const(1, 1)
     for t in (Fraction(1), Fraction(1, 2), Fraction(-3)):
         assert phi(ctx1(t), xi() ** 2 * z()) == xi() ** 2 * z() + 2 * t * xi()
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(), st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                                 Fraction(2)]))
+def test_phi_closed_form_matches_series(f, t):
+    c = StarContext(f.n, t)
+    assert phi(c, f) == phi_series(c, f)
 
 
 @settings(max_examples=50, deadline=None)
@@ -197,7 +206,7 @@ def test_star_monomial_three_routes(t):
             for beta in iter_multiindices(n, 3):
                 direct = star_monomial(c, alpha, beta)
                 generic = star(c, Poly.xi_monomial(n, alpha), Poly.z_monomial(n, beta))
-                flowed = phi(StarContext(n, -t), Poly.monomial(n, alpha, beta))
+                flowed = phi_series(StarContext(n, -t), Poly.monomial(n, alpha, beta))
                 assert direct == generic == flowed
 
 
@@ -212,6 +221,16 @@ def test_star_pow_small_cases():
     assert star_pow(c, f, 2) == expected
     assert star(c, f, f) == expected
     assert star(c, xi(), z()) * star(c, xi(), z()) == expected
+
+
+@pytest.mark.parametrize("t", [Fraction(1), Fraction(-1, 2)])
+@pytest.mark.parametrize("f", [xi() * z() + xi() ** 2,
+                               xi(2, 1) * z(2, 2) + xi(2, 2) ** 2 * z(2, 1),
+                               xi(2, 1) * z(2, 1) - z(2, 2) * Fraction(1, 3) + Poly.const(2, 2)])
+def test_star_pow_matches_repeated_star(f, t):
+    c = StarContext(f.n, t)
+    for m in range(7):
+        assert star_pow(c, f, m) == star_power_loop(c, f, m)
 
 
 def test_star_pow_of_star_monomial_is_monomial_power():

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from staralg.cli import main
 from staralg.deform import StarContext, phi, star_ev0
 from staralg.laguerre import laguerre1
 from staralg.mathieu import (
     DegreeCapExceeded,
     MembershipOracle,
+    OracleDisagreement,
     basis_power_scan,
     image_linear_witness,
     in_image_ev0,
@@ -21,8 +23,10 @@ from staralg.mathieu import (
     random_poly,
 )
 from staralg.poly import Poly
+from staralg.syntax import parse_poly
 
 from conftest import polys, small_t
+from reference import power_experiment_loop
 
 ONE = Poly.const(1, 1)
 
@@ -190,6 +194,36 @@ def test_power_experiment_with_linear_oracle():
     r2 = power_experiment(linear, f, b, 3, "star")
     assert r1.power_member == r2.power_member
     assert r1.product_member == r2.product_member
+
+
+@pytest.mark.parametrize("kind", ["image_ev0", "image_linear"])
+@pytest.mark.parametrize("f, b, n, mmax", [("x1*z1+x1^2", "x1^2*z1+x1", 1, 12),
+                                           ("x1*z2+x2^2*z1", "z1", 2, 8)])
+def test_power_experiment_matches_generic_star(kind, f, b, n, mmax):
+    oracle = MembershipOracle(kind, t=Fraction(1))
+    f, b = parse_poly(f, n), parse_poly(b, n)
+    report = power_experiment(oracle, f, b, mmax, "star")
+    expected = power_experiment_loop(oracle, f, b, mmax)
+    assert (report.power_member, report.product_member, report.products) == expected
+
+
+def test_power_experiment_rejects_a_lying_oracle(monkeypatch):
+    real = MembershipOracle.contains
+    calls = []
+
+    def lie_once(self, p):
+        calls.append(p)
+        return real(self, p) != (len(calls) == 1)
+
+    monkeypatch.setattr(MembershipOracle, "contains", lie_once)
+    oracle = MembershipOracle("image_ev0", t=Fraction(1))
+    with pytest.raises(OracleDisagreement, match="m=1"):
+        power_experiment(oracle, xi() * z(), z(), 3, "star")
+    calls.clear()
+    # an internal fault, not a usage error: the CLI does not turn it into exit 2
+    with pytest.raises(OracleDisagreement):
+        main(["mathieu", "--oracle", "image", "--n", "1", "--t", "1", "--f", "x1*z1",
+              "--b", "z1", "--mmax", "3"])
 
 
 def test_power_experiment_determinism():

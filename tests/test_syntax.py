@@ -1,5 +1,9 @@
 """Expression parsing and canonical printing."""
 
+import gc
+import importlib
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -131,3 +135,25 @@ def test_round_trip_parse_print(p):
 def test_print_idempotent_on_canonical_strings(p):
     text = format_poly(p)
     assert format_poly(parse_poly(text, p.n)) == text
+
+
+def _drop_staralg():
+    for name in [m for m in sys.modules if m == "staralg" or m.startswith("staralg.")]:
+        del sys.modules[name]
+
+
+def test_reimport_releases_previous_package():
+    # Nothing module-level (such as a typing cache entry) may pin the
+    # classes of an earlier import, or each re-import keeps a full copy.
+    saved = {m: mod for m, mod in sys.modules.items()
+             if m == "staralg" or m.startswith("staralg.")}
+    try:
+        _drop_staralg()
+        ref = weakref.ref(importlib.import_module("staralg.poly").Poly)
+        _drop_staralg()
+        importlib.import_module("staralg")
+        gc.collect()
+        assert ref() is None
+    finally:
+        _drop_staralg()
+        sys.modules.update(saved)
