@@ -1,26 +1,15 @@
 #!/usr/bin/env python3
 """Run every identity suite at one set of bounds and summarize.
 
-Equivalent to looping the `staralg check` subcommand over all suites; handy
-for quick regression sweeps at larger bounds than the defaults.
+Equivalent to looping the `staralg check` subcommand over all suites (the
+starexp suite at order min(--order, 4)); handy for quick regression sweeps
+at larger bounds than the defaults.
 """
 
 import argparse
 import sys
-from fractions import Fraction
 
-from staralg.laguerre import (
-    even_identity_report,
-    generating_check,
-    ode_check,
-    orthogonality_check,
-    recurrence_check,
-    star_exp_check,
-)
-from staralg.mathieu import oracle_equivalence_scan
-from staralg.poly import mi_zero
-from staralg.report import Report
-from staralg.weyl import interchange_check
+from staralg.cli import SUITES, _run_suite, build_parser
 
 
 def main() -> int:
@@ -35,26 +24,13 @@ def main() -> int:
                         help="print only the per-suite summary lines")
     args = parser.parse_args()
 
-    n = args.n
-    zeros = mi_zero(n)
-    genfun_report = Report()
-    for k in range(args.kmax + 1):
-        sub = generating_check(k, args.order)
-        genfun_report.records.extend(sub.records)
-        genfun_report.ok = genfun_report.ok and sub.ok
-
-    suites = [
-        ("ortho", orthogonality_check(n, zeros, args.degmax)),
-        ("recur", recurrence_check(args.mmax)),
-        ("ode", ode_check(args.mmax, args.kmax)),
-        ("genfun", genfun_report),
-        ("starexp", star_exp_check(zeros, min(args.order, 4))),
-        ("even", even_identity_report(n, args.degmax)),
-        ("interchange", interchange_check(n, args.degmax)),
-        ("oracles", oracle_equivalence_scan(Fraction(args.t), n, args.degmax)),
-    ]
+    base = build_parser().parse_args([
+        "check", "--suite", SUITES[0], f"--n={args.n}", f"--t={args.t}",
+        f"--degmax={args.degmax}", f"--mmax={args.mmax}", f"--kmax={args.kmax}"])
     all_ok = True
-    for name, report in suites:
+    for name in SUITES:
+        order = min(args.order, 4) if name == "starexp" else args.order
+        report = _run_suite(argparse.Namespace(**{**vars(base), "suite": name, "order": order}))
         if not args.quiet:
             for record in report.records:
                 print(record.line())

@@ -45,6 +45,7 @@ from .weyl import (
 DEFAULT_DEGMAX = 4
 DEFAULT_MMAX = 8
 DEFAULT_ORDER = 8
+SUITES = ("ortho", "recur", "ode", "genfun", "starexp", "even", "interchange", "oracles")
 
 
 class UsageError(Exception):
@@ -124,9 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     lag_p.add_argument("--via", choices=["explicit", "star", "genfun"], default="explicit")
 
     check_p = sub.add_parser("check", help="run a verifier suite; exit 0 iff all pass")
-    check_p.add_argument("--suite", required=True,
-                         choices=["ortho", "recur", "ode", "genfun", "starexp",
-                                  "even", "interchange", "oracles"])
+    check_p.add_argument("--suite", required=True, choices=SUITES)
     check_p.add_argument("--n", type=int, default=1)
     check_p.add_argument("--t", default="1")
     check_p.add_argument("--k", default=None,
@@ -232,12 +231,8 @@ def _run_suite(args) -> Report:
     if args.suite == "ode":
         return ode_check(args.mmax, args.kmax)
     if args.suite == "genfun":
-        report = Report()
-        for kk in range(args.kmax + 1):
-            sub_report = generating_check(kk, args.order)
-            report.records.extend(sub_report.records)
-            report.ok = report.ok and sub_report.ok
-        return report
+        reports = [generating_check(kk, args.order) for kk in range(args.kmax + 1)]
+        return Report([r for rep in reports for r in rep.records], all(r.ok for r in reports))
     if args.suite == "starexp":
         return star_exp_check(k, args.order)
     if args.suite == "even":

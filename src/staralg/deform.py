@@ -1,7 +1,7 @@
 """A one-parameter deformation of the polynomial product on Q[x, z].
 
-For a rational parameter t, the star product is the finite bidifferential
-sum
+For a rational parameter t, the star product is defined by the finite
+bidifferential sum
 
     f star_t g = sum over multi-indices a, b of
                  (-t)^(|a|+|b|) / (a! b!) * (dxi^b dz^a f) * (dz^b dxi^a g),
@@ -14,6 +14,11 @@ at t = 0.  The cross-Laplacian
 is locally nilpotent, so its flow phi_t = exp(t L) is a well-defined linear
 bijection of Q[x, z]; it is in fact an algebra isomorphism from the star_t
 product to the ordinary product, with exact inverse phi_{-t}.
+
+That isomorphism is the only star algorithm here: every product is computed
+as phi_{-t}(phi_t f * phi_t g), and powers, star monomials and the
+star-Taylor expansion go through phi likewise.  The double sum above is the
+definition, and the tests keep it as their independent reference.
 
 The module also provides the analogue of evaluation at x = 0 for the star
 algebra (``star_ev0``, an algebra homomorphism onto Q[z]) and the unique
@@ -60,10 +65,7 @@ class StarContext:
 
 def cross_laplacian(f: Poly) -> Poly:
     """sum_i dxi_i dz_i f; drops both the x-degree and z-degree of each term."""
-    total = Poly.zero(f.n)
-    for i in range(1, f.n + 1):
-        total = total + f.d_z(i).d_xi(i)
-    return total
+    return Poly.sum(f.n, (f.d_z(i).d_xi(i) for i in range(1, f.n + 1)))
 
 
 def phi(ctx: StarContext, f: Poly) -> Poly:
@@ -94,90 +96,37 @@ def phi(ctx: StarContext, f: Poly) -> Poly:
     return Poly(f.n, {key: Fraction(v, scale) for key, v in out.items() if v})
 
 
-def _partial_closure(f: Poly, kind: str) -> dict[MultiIndex, Poly]:
-    """All nonzero iterated partials of f: maps a -> d^a f (kind 'z' or 'xi').
-
-    Every ancestor of a nonzero derivative is nonzero, so breadth-first
-    growth from f reaches exactly the nonzero ones.
-    """
-    step = Poly.d_z if kind == "z" else Poly.d_xi
-    out: dict[MultiIndex, Poly] = {mi_zero(f.n): f}
-    frontier = [mi_zero(f.n)]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            g = out[a]
-            for i in range(1, f.n + 1):
-                b = a[:i - 1] + (a[i - 1] + 1,) + a[i:]
-                if b in out:
-                    continue
-                h = step(g, i)
-                if not h.is_zero():
-                    out[b] = h
-                    fresh.append(b)
-        frontier = fresh
-    return out
-
-
 def star(ctx: StarContext, f: Poly, g: Poly) -> Poly:
-    """The star_t product of f and g.
+    """The star_t product of f and g, as phi_{-t}(phi_t f * phi_t g)."""
+    return phi(StarContext(ctx.n, -ctx.t), phi(ctx, f) * phi(ctx, g))
 
-    The double sum is finite: a is bounded by the z-degree of f and the
-    x-degree of g, b by the x-degree of f and the z-degree of g.
-    """
-    ctx.check(f, g)
-    if ctx.t == 0:
-        return f * g
-    dz_f = _partial_closure(f, "z")     # a -> dz^a f
-    dxi_g = _partial_closure(g, "xi")   # a -> dxi^a g
-    total = Poly.zero(ctx.n)
-    for a in sorted(dz_f.keys() & dxi_g.keys()):
-        inner_f = _partial_closure(dz_f[a], "xi")   # b -> dxi^b dz^a f
-        inner_g = _partial_closure(dxi_g[a], "z")   # b -> dz^b dxi^a g
-        fact_a = mi_factorial(a)
-        for b in sorted(inner_f.keys() & inner_g.keys()):
-            c = Fraction((-ctx.t) ** (mi_sum(a) + mi_sum(b)), fact_a * mi_factorial(b))
-            total = total + inner_f[b] * inner_g[b] * c
-    return total
+
+def _star_via_subst(ctx: StarContext, p: Poly, g: Poly, side: int) -> Poly:
+    """p star_t g for p in the x (side 0) or the z (side 1) variables only, by
+    substituting the commuting operators x_i - t*dz_i, resp. z_i - t*dxi_i,
+    factor by factor.  Serves as an independent oracle for ``star``."""
+    ctx.check(p, g)
+    if any(key[1 - side] != mi_zero(ctx.n) for key in p.terms):
+        raise ValueError(f"first factor must be a polynomial in the {'xz'[side]} variables only")
+    var, partial = (Poly.xi_var, Poly.d_z) if side == 0 else (Poly.z_var, Poly.d_xi)
+    pieces = []
+    for key, c in p.terms.items():
+        h = g
+        for i, e in enumerate(key[side], start=1):
+            for _ in range(e):
+                h = var(ctx.n, i) * h - partial(h, i) * ctx.t
+        pieces.append(h * c)
+    return Poly.sum(ctx.n, pieces)
 
 
 def star_via_subst_xi(ctx: StarContext, lam: Poly, g: Poly) -> Poly:
-    """lam(x) star_t g computed as the operator substitution lam(x - t*dz).
-
-    Requires lam to involve only the x variables.  The operators x_i - t*dz_i
-    commute, so applying them factor by factor is well-defined.  Serves as an
-    independent oracle for ``star`` on these inputs.
-    """
-    ctx.check(lam, g)
-    if not lam.is_xi_only():
-        raise ValueError("first factor must be a polynomial in the x variables only")
-    total = Poly.zero(ctx.n)
-    for (alpha, _), c in lam.sorted_terms():
-        h = g
-        for i in range(1, ctx.n + 1):
-            for _ in range(alpha[i - 1]):
-                h = Poly.xi_var(ctx.n, i) * h - h.d_z(i) * ctx.t
-        total = total + h * c
-    return total
+    """lam(x) star_t g computed as the operator substitution lam(x - t*dz)."""
+    return _star_via_subst(ctx, lam, g, 0)
 
 
 def star_via_subst_z(ctx: StarContext, p: Poly, g: Poly) -> Poly:
-    """p(z) star_t g computed as the operator substitution p(z - t*dxi).
-
-    Requires p to involve only the z variables; the z-side analogue of
-    ``star_via_subst_xi``.
-    """
-    ctx.check(p, g)
-    if not p.is_z_only():
-        raise ValueError("first factor must be a polynomial in the z variables only")
-    total = Poly.zero(ctx.n)
-    for (_, beta), c in p.sorted_terms():
-        h = g
-        for i in range(1, ctx.n + 1):
-            for _ in range(beta[i - 1]):
-                h = Poly.z_var(ctx.n, i) * h - h.d_xi(i) * ctx.t
-        total = total + h * c
-    return total
+    """p(z) star_t g computed as the operator substitution p(z - t*dxi)."""
+    return _star_via_subst(ctx, p, g, 1)
 
 
 def star_monomial(ctx: StarContext, alpha: MultiIndex, beta: MultiIndex) -> Poly:
@@ -237,11 +186,9 @@ class StarTaylor:
 
 
 def star_taylor(ctx: StarContext, f: Poly) -> StarTaylor:
-    """Expand f in star-Taylor form: coefficient a equals star_ev0(dxi^a f)."""
-    ctx.check(f)
-    coeffs = {}
-    for alpha, deriv in _partial_closure(f, "xi").items():
-        c = star_ev0(ctx, deriv)
-        if not c.is_zero():
-            coeffs[alpha] = c
-    return StarTaylor(ctx.n, ctx.t, coeffs)
+    """Expand f in star-Taylor form, reading c_a = a! * [x^a] phi_t(f) off one
+    flow: phi_t fixes x^a and Q[z], so phi_t(f) = sum_a x^a c_a(z) / a!."""
+    grouped: dict[MultiIndex, dict[TermKey, Fraction]] = {}
+    for (xe, ze), c in phi(ctx, f).terms.items():
+        grouped.setdefault(xe, {})[(mi_zero(ctx.n), ze)] = c * mi_factorial(xe)
+    return StarTaylor(ctx.n, ctx.t, {a: Poly(ctx.n, t) for a, t in grouped.items()})

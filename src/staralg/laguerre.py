@@ -35,7 +35,7 @@ from .poly import (
     mi_factorial,
     mi_sum,
 )
-from .report import OutputRecord, Report
+from .report import Report
 from .series import USeries
 
 
@@ -199,19 +199,12 @@ def generating_check(k: int, order: int) -> Report:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     series = _genfun_series(k, order, Poly.z_var(1, 1))
-    records = []
-    ok = True
+    report = Report()
     for m in range(order + 1):
         got = series.coeffs[m]
-        passed = got == laguerre1(m, k)
-        ok = ok and passed
-        records.append(OutputRecord(
-            kind="genfun",
-            params=(("k", str(k)), ("m", str(m))),
-            verdict="pass" if passed else "fail",
-            payload=_fmt_poly(got),
-        ))
-    return Report(records=records, ok=ok)
+        report.add("genfun", (("k", str(k)), ("m", str(m))), got == laguerre1(m, k),
+                   _fmt_poly(got))
+    return report
 
 
 def identity_dk_check(m: int, k: int) -> bool:
@@ -226,39 +219,26 @@ def recurrence_check(mmax: int) -> Report:
         raise ValueError(f"mmax must be >= 1, got {mmax}")
     z = Poly.z_var(1, 1)
     ladder = [laguerre1(m, 0) for m in range(mmax + 2)]
-    records = []
-    ok = True
+    report = Report()
     for m in range(1, mmax + 1):
         three_term = ladder[m + 1] * (m + 1) == (Poly.const(1, 2 * m + 1) - z) * ladder[m] - ladder[m - 1] * m
         derivative = z * ladder[m].d_z(1) == (ladder[m] - ladder[m - 1]) * m
         for name, passed in (("three_term", three_term), ("derivative", derivative)):
-            ok = ok and passed
-            records.append(OutputRecord(
-                kind="recur",
-                params=(("m", str(m)), ("relation", name)),
-                verdict="pass" if passed else "fail",
-            ))
-    return Report(records=records, ok=ok)
+            report.add("recur", (("m", str(m)), ("relation", name)), passed)
+    return report
 
 
 def ode_check(mmax: int, kmax: int) -> Report:
     """z f'' + (k + 1 - z) f' + m f vanishes identically for f = L_m^[k]."""
     z = Poly.z_var(1, 1)
-    records = []
-    ok = True
+    report = Report()
     for m in range(mmax + 1):
         for k in range(kmax + 1):
             f = laguerre1(m, k)
             residual = z * f.d_z(1).d_z(1) + (Poly.const(1, k + 1) - z) * f.d_z(1) + f * m
-            passed = residual.is_zero()
-            ok = ok and passed
-            records.append(OutputRecord(
-                kind="ode",
-                params=(("m", str(m)), ("k", str(k))),
-                verdict="pass" if passed else "fail",
-                payload=_fmt_poly(residual),
-            ))
-    return Report(records=records, ok=ok)
+            report.add("ode", (("m", str(m)), ("k", str(k))), residual.is_zero(),
+                       _fmt_poly(residual))
+    return report
 
 
 def star_exp_check(k: MultiIndex, order: int) -> Report:
@@ -270,37 +250,24 @@ def star_exp_check(k: MultiIndex, order: int) -> Report:
     """
     k = tuple(k)
     n = len(k)
-    records = []
-    ok = True
+    report = Report()
     xz = Poly.xi_var(1, 1) * Poly.z_var(1, 1)
     for i in range(1, n + 1):
         series = _genfun_series(k[i - 1], order, xz)
         for m in range(order + 1):
             got = series.coeffs[m]
             want = laguerre_star(LaguerreSpec((m,), (k[i - 1],)))
-            passed = got == want
-            ok = ok and passed
-            records.append(OutputRecord(
-                kind="starexp",
-                params=(("k", _fmt_mi(k)), ("coordinate", str(i)), ("m", str(m))),
-                verdict="pass" if passed else "fail",
-                payload=_fmt_poly(got),
-            ))
+            report.add("starexp", (("k", _fmt_mi(k)), ("coordinate", str(i)), ("m", str(m))),
+                       got == want, _fmt_poly(got))
     if n > 1:
         for alpha in iter_multiindices(n, order):
             product = Poly.const(n, 1)
             for i in range(1, n + 1):
                 one_d = laguerre_star(LaguerreSpec((alpha[i - 1],), (k[i - 1],)))
                 product = product * _embed(one_d, n, i)
-            passed = product == laguerre_star(LaguerreSpec(alpha, k))
-            ok = ok and passed
-            records.append(OutputRecord(
-                kind="starexp",
-                params=(("k", _fmt_mi(k)), ("coordinate", "all"), ("m", _fmt_mi(alpha))),
-                verdict="pass" if passed else "fail",
-                payload=_fmt_poly(product),
-            ))
-    return Report(records=records, ok=ok)
+            report.add("starexp", (("k", _fmt_mi(k)), ("coordinate", "all"), ("m", _fmt_mi(alpha))),
+                       product == laguerre_star(LaguerreSpec(alpha, k)), _fmt_poly(product))
+    return report
 
 
 def even_identity_check(alpha: MultiIndex, beta: MultiIndex) -> bool:
@@ -321,13 +288,8 @@ def even_identity_report(n: int, degmax: int) -> Report:
     report = Report()
     for alpha in iter_multiindices(n, degmax):
         for beta in iter_multiindices(n, degmax):
-            ok = even_identity_check(alpha, beta)
-            report.ok = report.ok and ok
-            report.records.append(OutputRecord(
-                kind="even",
-                params=(("alpha", _fmt_mi(alpha)), ("beta", _fmt_mi(beta))),
-                verdict="pass" if ok else "fail",
-            ))
+            report.add("even", (("alpha", _fmt_mi(alpha)), ("beta", _fmt_mi(beta))),
+                       even_identity_check(alpha, beta))
     return report
 
 
@@ -338,25 +300,14 @@ def orthogonality_check(n: int, k: MultiIndex, degmax: int) -> Report:
         raise ValueError(f"weight index length {len(k)} != dimension {n}")
     basis = list(iter_multiindices(n, degmax))
     polys = {a: laguerre(LaguerreSpec(a, k)) for a in basis}
-    records = []
-    ok = True
+    report = Report()
     for a in basis:
         for b in basis:
             got = integrate_weight(polys[a] * polys[b], k)
             want = Fraction(mi_factorial(mi_add(a, k)), mi_factorial(a)) if a == b else Fraction(0)
-            passed = got == want
-            ok = ok and passed
-            records.append(OutputRecord(
-                kind="ortho",
-                params=(("alpha", _fmt_mi(a)), ("beta", _fmt_mi(b)), ("k", _fmt_mi(k))),
-                verdict="pass" if passed else "fail",
-                payload=str(got),
-            ))
-    return Report(records=records, ok=ok)
-
-
-def _fmt_point(point: Sequence[Fraction]) -> str:
-    return ",".join(str(v) for v in point)
+            report.add("ortho", (("alpha", _fmt_mi(a)), ("beta", _fmt_mi(b)), ("k", _fmt_mi(k))),
+                       got == want, str(got))
+    return report
 
 
 def xi_orthogonality_check(xi_point: Sequence[Scalar], degmax: int) -> Report:
@@ -370,19 +321,11 @@ def xi_orthogonality_check(xi_point: Sequence[Scalar], degmax: int) -> Report:
         a: star_monomial(ctx, a, a).evaluate(xi_point=point)
         for a in basis
     }
-    records = []
-    ok = True
+    report = Report()
     for a in basis:
         for b in basis:
             got = integrate_weight_xi(evaluated[a] * evaluated[b], point)
             want = Fraction(mi_factorial(a)) ** 2 if a == b else Fraction(0)
-            passed = got == want
-            ok = ok and passed
-            records.append(OutputRecord(
-                kind="ortho_xi",
-                params=(("alpha", _fmt_mi(a)), ("beta", _fmt_mi(b)),
-                        ("xi", _fmt_point(point))),
-                verdict="pass" if passed else "fail",
-                payload=str(got),
-            ))
-    return Report(records=records, ok=ok)
+            report.add("ortho_xi", (("alpha", _fmt_mi(a)), ("beta", _fmt_mi(b)),
+                                    ("xi", _fmt_mi(point))), got == want, str(got))
+    return report

@@ -33,6 +33,7 @@ from . import linalg
 from .deform import StarContext, phi, star_ev0
 from .laguerre import integrate_weight
 from .poly import (
+    ZERO_DEGREE,
     MultiIndex,
     Poly,
     TermKey,
@@ -77,13 +78,13 @@ def image_linear_witness(ctx: StarContext, p: Poly,
     if p.is_zero():
         return [Poly.zero(ctx.n) for _ in range(ctx.n)]
     bound = p.degree().total - 1 if degree_bound is None else degree_bound
-    witness = [Poly.zero(ctx.n) for _ in range(ctx.n)]
+    partials = []
     for grade, component in sorted(_split_by_grade(p).items()):
         partial = _solve_graded_component(ctx, component, grade, bound)
         if partial is None:
             return None
-        witness = [w + g for w, g in zip(witness, partial)]
-    return witness
+        partials.append(partial)
+    return [Poly.sum(ctx.n, pieces) for pieces in zip(*partials)]
 
 
 def _split_by_grade(p: Poly) -> dict[int, Poly]:
@@ -98,10 +99,12 @@ def _solve_graded_component(ctx: StarContext, q: Poly, grade: int,
     n = ctx.n
     columns: list[tuple[int, TermKey]] = []
     for total in range(bound + 1):
-        for xe in iter_multiindices(n, total):
-            for ze in compositions(n, total - mi_sum(xe)):
-                if mi_sum(xe) - mi_sum(ze) != grade - 1:
-                    continue
+        # the column's grade |xe| - |ze| is grade - 1 and |xe| + |ze| = total
+        x_total, odd = divmod(total + grade - 1, 2)
+        if odd or not 0 <= x_total <= total:
+            continue
+        for xe in compositions(n, x_total):
+            for ze in compositions(n, total - x_total):
                 for i in range(n):
                     columns.append((i, (xe, ze)))
     columns.sort(key=lambda col: (col[0], grlex_key(col[1])))
@@ -137,11 +140,10 @@ def _solve_graded_component(ctx: StarContext, q: Poly, grade: int,
     solution = linalg.solve(rows, rhs, len(columns))
     if solution is None:
         return None
-    witness = [Poly.zero(n) for _ in range(n)]
+    witness: list[dict[TermKey, Fraction]] = [{} for _ in range(n)]
     for (i, key), coeff in zip(columns, solution):
-        if coeff:
-            witness[i] = witness[i] + Poly.monomial(n, key[0], key[1], coeff)
-    return witness
+        witness[i][key] = coeff
+    return [Poly(n, terms) for terms in witness]
 
 
 def in_laguerre_span(p: Poly, k: MultiIndex) -> bool:
@@ -226,8 +228,9 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
     taken with star_t); "ordinary" pairs with the Laguerre-span oracle.
     Powers and products are ordinary products in flow coordinates (phi_t;
     the identity for ordinary powers), mapped back by phi_{-t} for the oracle.
-    Raises DegreeCapExceeded if an intermediate power outgrows degree_cap, and
-    OracleDisagreement if an image-oracle verdict contradicts the closed form.
+    Raises DegreeCapExceeded, before building it, if an intermediate power or
+    product would outgrow degree_cap, and OracleDisagreement if an
+    image-oracle verdict contradicts the closed form.
     """
     if mmax < 1:
         raise ValueError(f"mmax must be >= 1, got {mmax}")
@@ -256,14 +259,10 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
     flow_power = Poly.const(f.n, 1)
     for m in range(1, mmax + 1):
         # phi preserves total degree, so the caps apply in flow coordinates
+        _check_degree_cap(f"f^{m}", flow_power, flow_f, degree_cap)
         flow_power = flow_power * flow_f
-        if flow_power.degree().total > degree_cap:
-            raise DegreeCapExceeded(
-                f"degree of f^{m} is {flow_power.degree().total}, above the cap {degree_cap}")
+        _check_degree_cap(f"b*f^{m}", flow_b, flow_power, degree_cap)
         flow_product = flow_b * flow_power
-        if flow_product.degree().total > degree_cap:
-            raise DegreeCapExceeded(
-                f"degree of b*f^{m} is {flow_product.degree().total}, above the cap {degree_cap}")
         product = phi(back, flow_product)
         verdicts = (oracle.contains(phi(back, flow_power)), oracle.contains(product))
         if power_kind == "star" and verdicts != closed_form:
@@ -273,19 +272,26 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
         product_member.append(verdicts[1])
         products.append(product)
 
-    first_stable = None
-    if product_member[-1]:
-        first_stable = mmax
-        for m in range(mmax - 1, 0, -1):
-            if not product_member[m - 1]:
-                break
-            first_stable = m
+    last_miss = max((m for m, ok in enumerate(product_member, 1) if not ok), default=0)
+    first_stable = last_miss + 1 if last_miss < mmax else None
 
     return ExperimentReport(
         oracle=oracle, f=f, b=b, mmax=mmax, power_kind=power_kind,
         power_member=tuple(power_member), product_member=tuple(product_member),
         products=tuple(products), first_stable_n=first_stable,
     )
+
+
+def _check_degree_cap(name: str, a: Poly, b: Poly, degree_cap: int) -> None:
+    """Refuse the product a*b before building it if its degree exceeds the cap.
+
+    Q[x, z] has no zero divisors, so deg(a*b) = deg(a) + deg(b) unless a
+    factor is zero.
+    """
+    zero = a.is_zero() or b.is_zero()
+    degree = ZERO_DEGREE.total if zero else a.degree().total + b.degree().total
+    if degree > degree_cap:
+        raise DegreeCapExceeded(f"degree of {name} is {degree}, above the cap {degree_cap}")
 
 
 def random_poly(rng: random.Random, n: int, degmax: int, max_terms: int = 6) -> Poly:
@@ -312,26 +318,18 @@ def oracle_equivalence_scan(t: Fraction, n: int, degmax: int,
                             random_count: int = 20, seed: int = 0) -> Report:
     """Cross-validate the two image oracles on the monomial basis up to
     degmax plus seeded random combinations."""
+    from .syntax import format_poly
+
     ctx = StarContext(n, Fraction(t))
-    records = []
-    ok = True
+    report = Report()
 
     def probe(p: Poly, source: str) -> None:
-        nonlocal ok
         via_ev0 = in_image_ev0(ctx, p)
         via_linear = in_image_linear(ctx, p)
-        passed = via_ev0 == via_linear
-        ok = ok and passed
-        from .syntax import format_poly
-
-        records.append(OutputRecord(
-            kind="oracles",
-            params=(("t", str(ctx.t)), ("source", source),
-                    ("ev0", "member" if via_ev0 else "nonmember"),
-                    ("linear", "member" if via_linear else "nonmember")),
-            verdict="pass" if passed else "fail",
-            payload=format_poly(p),
-        ))
+        report.add("oracles", (("t", str(ctx.t)), ("source", source),
+                               ("ev0", "member" if via_ev0 else "nonmember"),
+                               ("linear", "member" if via_linear else "nonmember")),
+                   via_ev0 == via_linear, format_poly(p))
 
     for total in range(degmax + 1):
         for xe in iter_multiindices(n, total):
@@ -340,7 +338,7 @@ def oracle_equivalence_scan(t: Fraction, n: int, degmax: int,
     rng = random.Random(seed)
     for _ in range(random_count):
         probe(random_poly(rng, n, degmax), "random")
-    return Report(records=records, ok=ok)
+    return report
 
 
 def basis_power_scan(t: Fraction, n: int, degmax: int, mmax: int,

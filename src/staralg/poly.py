@@ -20,11 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 MultiIndex = tuple[int, ...]
 TermKey = tuple[MultiIndex, MultiIndex]
 Scalar = Union[int, Fraction]
+SIDES = {"xi": 0, "z": 1}  # derivative kind -> position of its exponent in a TermKey
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +124,8 @@ class Poly:
 
     ``terms`` maps (x_exponent, z_exponent) to a nonzero Fraction; the
     constructor prunes zero coefficients and validates exponent shapes, so
-    the representation invariant holds for every constructed value.
+    the representation invariant holds for every constructed value.  The
+    stored mapping is a read-only view, and equal polynomials hash equal.
     """
 
     n: int
@@ -135,12 +138,16 @@ class Poly:
         for (xe, ze), c in self.terms.items():
             if len(xe) != self.n or len(ze) != self.n:
                 raise ValueError(f"exponent length mismatch for dimension {self.n}: {(xe, ze)}")
-            if any(e < 0 for e in xe) or any(e < 0 for e in ze):
+            if min(xe) < 0 or min(ze) < 0:
                 raise ValueError(f"negative exponent in term {(xe, ze)}")
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 clean[(tuple(xe), tuple(ze))] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.terms.items())))
 
     # -- constructors -------------------------------------------------------
 
@@ -161,6 +168,18 @@ class Poly:
     def z_var(cls, n: int, i: int) -> "Poly":
         """The variable z_i (1-based)."""
         return cls(n, {(mi_zero(n), mi_unit(n, i)): Fraction(1)})
+
+    @classmethod
+    def sum(cls, n: int, pieces: Iterable["Poly"]) -> "Poly":
+        """The sum of polynomials of dimension n (zero if there are none),
+        accumulated in one dict rather than one new Poly per addition."""
+        out: dict[TermKey, Fraction] = {}
+        for p in pieces:
+            if p.n != n:
+                raise ValueError(f"dimension mismatch: {n} vs {p.n}")
+            for k, c in p.terms.items():
+                out[k] = out[k] + c if k in out else c
+        return cls(n, out)
 
     @classmethod
     def monomial(cls, n: int, xi_exp: MultiIndex, z_exp: MultiIndex,
@@ -268,45 +287,40 @@ class Poly:
 
     # -- calculus ------------------------------------------------------------
 
-    def d_z(self, i: int) -> "Poly":
-        """Partial derivative with respect to z_i (1-based)."""
+    def _d(self, side: int, i: int) -> "Poly":
+        """Partial derivative in the i-th (1-based) x (side 0) or z (side 1) variable."""
         if not 1 <= i <= self.n:
             raise IndexError(f"index {i} out of range 1..{self.n}")
         j = i - 1
         out: dict[TermKey, Fraction] = {}
-        for (xe, ze), c in self.terms.items():
-            if ze[j] == 0:
-                continue
-            ze2 = ze[:j] + (ze[j] - 1,) + ze[j + 1:]
-            out[(xe, ze2)] = out.get((xe, ze2), Fraction(0)) + c * ze[j]
+        for key, c in self.terms.items():
+            e = key[side][j]
+            if e:
+                lowered = key[side][:j] + (e - 1,) + key[side][j + 1:]
+                out[(lowered, key[1]) if side == 0 else (key[0], lowered)] = c * e
         return Poly(self.n, out)
+
+    def d_z(self, i: int) -> "Poly":
+        """Partial derivative with respect to z_i (1-based)."""
+        return self._d(1, i)
 
     def d_xi(self, i: int) -> "Poly":
         """Partial derivative with respect to x_i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"index {i} out of range 1..{self.n}")
-        j = i - 1
-        out: dict[TermKey, Fraction] = {}
-        for (xe, ze), c in self.terms.items():
-            if xe[j] == 0:
-                continue
-            xe2 = xe[:j] + (xe[j] - 1,) + xe[j + 1:]
-            out[(xe2, ze)] = out.get((xe2, ze), Fraction(0)) + c * xe[j]
-        return Poly(self.n, out)
+        return self._d(0, i)
 
     def d_multi(self, kind: str, gamma: MultiIndex) -> "Poly":
         """Iterated partials: d^gamma in the z ('z') or x ('xi') variables."""
-        if kind not in ("z", "xi"):
+        if kind not in SIDES:
             raise ValueError(f"kind must be 'z' or 'xi', got {kind!r}")
         if len(gamma) != self.n:
             raise ValueError(f"multi-index length {len(gamma)} != dimension {self.n}")
         out = self
-        step = Poly.d_z if kind == "z" else Poly.d_xi
+        side = SIDES[kind]
         for i, reps in enumerate(gamma, start=1):
             for _ in range(reps):
                 if out.is_zero():
                     return out
-                out = step(out, i)
+                out = out._d(side, i)
         return out
 
     # -- evaluation ----------------------------------------------------------
@@ -318,50 +332,45 @@ class Poly:
         Substituting only one family returns a Poly in the remaining family;
         substituting both returns the exact Fraction value.
         """
-        for name, pt in (("xi", xi_point), ("z", z_point)):
+        points = (xi_point, z_point)
+        for name, pt in zip(SIDES, points):
             if pt is not None and len(pt) != self.n:
                 raise ValueError(f"{name} point length {len(pt)} != dimension {self.n}")
         out: dict[TermKey, Fraction] = {}
-        for (xe, ze), c in self.terms.items():
-            coeff = c
-            if xi_point is not None:
-                for e, v in zip(xe, xi_point):
-                    if e:
-                        coeff *= Fraction(v) ** e
-                xe = mi_zero(self.n)
-            if z_point is not None:
-                for e, v in zip(ze, z_point):
-                    if e:
-                        coeff *= Fraction(v) ** e
-                ze = mi_zero(self.n)
-            k = (xe, ze)
-            out[k] = out.get(k, Fraction(0)) + coeff
+        for key, c in self.terms.items():
+            key = list(key)
+            for side, pt in enumerate(points):
+                if pt is not None:
+                    for e, v in zip(key[side], pt):
+                        if e:
+                            c *= Fraction(v) ** e
+                    key[side] = mi_zero(self.n)
+            k = tuple(key)
+            out[k] = out.get(k, 0) + c
         result = Poly(self.n, out)
         if xi_point is not None and z_point is not None:
             return result.constant_term()
         return result
 
-    def divide_xi_monomial(self, k: MultiIndex) -> "Poly":
-        """Exact division by x^k; raises ValueError if any term is not divisible."""
+    def _divide_monomial(self, side: int, k: MultiIndex) -> "Poly":
+        """Exact division by x^k (side 0) or z^k (side 1); raises ValueError
+        if any term is not divisible."""
         if len(k) != self.n:
             raise ValueError(f"multi-index length {len(k)} != dimension {self.n}")
         out: dict[TermKey, Fraction] = {}
         for (xe, ze), c in self.terms.items():
-            if not mi_le(k, xe):
-                raise ValueError(f"term x^{xe} z^{ze} not divisible by x^{k}")
-            out[(mi_sub(xe, k), ze)] = c
+            if not mi_le(k, (xe, ze)[side]):
+                raise ValueError(f"term x^{xe} z^{ze} not divisible by {'xz'[side]}^{k}")
+            out[(mi_sub(xe, k), ze) if side == 0 else (xe, mi_sub(ze, k))] = c
         return Poly(self.n, out)
+
+    def divide_xi_monomial(self, k: MultiIndex) -> "Poly":
+        """Exact division by x^k; raises ValueError if any term is not divisible."""
+        return self._divide_monomial(0, k)
 
     def divide_z_monomial(self, k: MultiIndex) -> "Poly":
         """Exact division by z^k; raises ValueError if any term is not divisible."""
-        if len(k) != self.n:
-            raise ValueError(f"multi-index length {len(k)} != dimension {self.n}")
-        out: dict[TermKey, Fraction] = {}
-        for (xe, ze), c in self.terms.items():
-            if not mi_le(k, ze):
-                raise ValueError(f"term x^{xe} z^{ze} not divisible by z^{k}")
-            out[(xe, mi_sub(ze, k))] = c
-        return Poly(self.n, out)
+        return self._divide_monomial(1, k)
 
     def __repr__(self) -> str:
         items = ", ".join(f"x^{xe} z^{ze}: {c}" for (xe, ze), c in self.sorted_terms())

@@ -36,6 +36,12 @@ class Report:
     records: list[OutputRecord] = field(default_factory=list)
     ok: bool = True
 
+    def add(self, kind: str, params: tuple[tuple[str, str], ...], passed: bool,
+            payload: str = "") -> None:
+        """Append one pass/fail record and fold its verdict into ``ok``."""
+        self.ok = self.ok and passed
+        self.records.append(OutputRecord(kind, params, "pass" if passed else "fail", payload))
+
     @property
     def first_failure(self) -> OutputRecord | None:
         for r in self.records:

@@ -68,15 +68,11 @@ class USeries:
 
     def __mul__(self, other: "USeries") -> "USeries":
         self._require_same_order(other)
-        out = [Poly.zero(self.n) for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return USeries(self.order, tuple(out))
+        a, b = self.coeffs, other.coeffs
+        return USeries(self.order, tuple(
+            Poly.sum(self.n, (a[i] * b[k - i] for i in range(k + 1)
+                              if not a[i].is_zero() and not b[k - i].is_zero()))
+            for k in range(self.order + 1)))
 
     def scale_poly(self, p: Poly) -> "USeries":
         """Multiply every coefficient by a fixed polynomial."""

@@ -27,14 +27,16 @@ from .poly import (
     MultiIndex,
     Poly,
     Scalar,
-    grlex_key,
+    TermKey,
     iter_multiindices,
     mi_add,
     mi_binomial,
+    mi_le,
     mi_sub,
+    mi_unit,
     mi_zero,
 )
-from .report import OutputRecord, Report
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,7 @@ class WeylOp:
     @classmethod
     def dz(cls, n: int, i: int) -> "WeylOp":
         """The derivation dz_i (1-based)."""
-        alpha = tuple(1 if j == i - 1 else 0 for j in range(n))
-        if not 1 <= i <= n:
-            raise IndexError(f"index {i} out of range 1..{n}")
-        return cls(n, {alpha: Poly.const(n, 1)})
+        return cls(n, {mi_unit(n, i): Poly.const(n, 1)})
 
     # -- algebra -------------------------------------------------------------
 
@@ -94,10 +93,7 @@ class WeylOp:
 
     def __add__(self, other: "WeylOp") -> "WeylOp":
         self._require_same_n(other)
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, Poly.zero(self.n)) + c
-        return WeylOp(self.n, out)
+        return from_right_symbol(right_symbol(self) + right_symbol(other))
 
     def __neg__(self) -> "WeylOp":
         return self.scale(-1)
@@ -114,10 +110,8 @@ class WeylOp:
             raise ValueError(f"dimension mismatch: {self.n} vs {p.n}")
         if not p.is_z_only():
             raise ValueError("operand must lie in Q[z]")
-        total = Poly.zero(self.n)
-        for alpha, coeff in self.terms.items():
-            total = total + coeff * p.d_multi("z", alpha)
-        return total
+        return Poly.sum(self.n, (coeff * p.d_multi("z", alpha)
+                                 for alpha, coeff in self.terms.items()))
 
     def compose(self, other: "WeylOp") -> "WeylOp":
         """Operator composition self o other, renormalized to right normal form.
@@ -126,28 +120,17 @@ class WeylOp:
         pair contributes finitely many normal-form terms.
         """
         self._require_same_n(other)
-        out: dict[MultiIndex, Poly] = {}
-        for alpha, a_coeff in self.terms.items():
-            for beta, b_coeff in other.terms.items():
-                partials = {mi_zero(self.n): b_coeff}
-                frontier = [mi_zero(self.n)]
-                while frontier:
-                    fresh = []
-                    for g in frontier:
-                        for i in range(1, self.n + 1):
-                            g2 = g[:i - 1] + (g[i - 1] + 1,) + g[i:]
-                            if g2 in partials or not all(x <= y for x, y in zip(g2, alpha)):
-                                continue
-                            h = partials[g].d_z(i)
-                            if not h.is_zero():
-                                partials[g2] = h
-                                fresh.append(g2)
-                    frontier = fresh
+        pieces = []
+        reach = tuple(map(max, zip(mi_zero(self.n), *self.terms)))  # componentwise max alpha
+        for beta, b_coeff in other.terms.items():
+            partials = _z_partials(b_coeff, reach)  # gamma -> dz^gamma b_coeff
+            for alpha, a_coeff in self.terms.items():
                 for gamma, db in partials.items():
-                    key = mi_add(mi_sub(alpha, gamma), beta)
-                    piece = a_coeff * db * mi_binomial(alpha, gamma)
-                    out[key] = out.get(key, Poly.zero(self.n)) + piece
-        return WeylOp(self.n, out)
+                    if mi_le(gamma, alpha):
+                        key = mi_add(mi_sub(alpha, gamma), beta)
+                        shift = Poly.xi_monomial(self.n, key, mi_binomial(alpha, gamma))
+                        pieces.append(shift * a_coeff * db)
+        return from_right_symbol(Poly.sum(self.n, pieces))
 
     def compose_pow(self, m: int) -> "WeylOp":
         """m-fold composition power; m = 0 yields the identity."""
@@ -163,25 +146,36 @@ class WeylOp:
         return f"WeylOp(n={self.n}, {{{parts}}})"
 
 
+def _z_partials(c: Poly, reach: MultiIndex) -> dict[MultiIndex, Poly]:
+    """gamma -> dz^gamma c for every gamma <= reach with a nonzero result,
+    grown one coordinate at a time, one derivative step per entry."""
+    out = {mi_zero(c.n): c}
+    for i in range(1, c.n + 1):
+        for gamma, p in list(out.items()):
+            for e in range(1, reach[i - 1] + 1):
+                p = p.d_z(i)
+                if p.is_zero():
+                    break
+                out[gamma[:i - 1] + (e,) + gamma[i:]] = p
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Symbol maps
 # ---------------------------------------------------------------------------
 
 def right_symbol(op: WeylOp) -> Poly:
     """sum_a c_a(z) x^a: the direct transcription of the right normal form."""
-    total = Poly.zero(op.n)
-    for alpha, coeff in op.terms.items():
-        total = total + coeff * Poly.xi_monomial(op.n, alpha)
-    return total
+    return Poly(op.n, {(alpha, ze): c for alpha, coeff in op.terms.items()
+                       for (_, ze), c in coeff.terms.items()})
 
 
 def from_right_symbol(p: Poly) -> WeylOp:
     """Inverse of ``right_symbol``: regroup a polynomial by x-exponent."""
-    grouped: dict[MultiIndex, Poly] = {}
+    grouped: dict[MultiIndex, dict[TermKey, Fraction]] = {}
     for (xe, ze), c in p.terms.items():
-        mono = Poly.z_monomial(p.n, ze, c)
-        grouped[xe] = grouped.get(xe, Poly.zero(p.n)) + mono
-    return WeylOp(p.n, grouped)
+        grouped.setdefault(xe, {})[(mi_zero(p.n), ze)] = c
+    return WeylOp(p.n, {xe: Poly(p.n, terms) for xe, terms in grouped.items()})
 
 
 def left_symbol(op: WeylOp) -> Poly:
@@ -195,15 +189,9 @@ def from_left_symbol(p: Poly) -> WeylOp:
     Goes through ``compose`` rather than through the flow map, so the two
     symbol routes stay independently testable.
     """
-    grouped: dict[MultiIndex, Poly] = {}
-    for (xe, ze), c in p.terms.items():
-        mono = Poly.z_monomial(p.n, ze, c)
-        grouped[xe] = grouped.get(xe, Poly.zero(p.n)) + mono
-    total = WeylOp.zero(p.n)
-    for beta in sorted(grouped, key=lambda b: grlex_key((b, mi_zero(p.n)))):
-        d_beta = WeylOp(p.n, {beta: Poly.const(p.n, 1)})
-        total = total + d_beta.compose(WeylOp.mul_by(grouped[beta]))
-    return total
+    pieces = (right_symbol(WeylOp(p.n, {beta: Poly.const(p.n, 1)}).compose(WeylOp.mul_by(c)))
+              for beta, c in from_right_symbol(p).terms.items())
+    return from_right_symbol(Poly.sum(p.n, pieces))
 
 
 def interchange_check(n: int, degmax: int) -> Report:
@@ -214,8 +202,7 @@ def interchange_check(n: int, degmax: int) -> Report:
     """
     plus = StarContext(n, Fraction(1))
     minus = StarContext(n, Fraction(-1))
-    records = []
-    ok = True
+    report = Report()
     for alpha in iter_multiindices(n, degmax):
         for beta in iter_multiindices(n, degmax - sum(alpha)):
             p = Poly.monomial(n, alpha, beta)
@@ -225,17 +212,11 @@ def interchange_check(n: int, degmax: int) -> Report:
             want_r2l = phi(minus, p)
             for direction, got, want in (("l2r", got_l2r, want_l2r),
                                          ("r2l", got_r2l, want_r2l)):
-                passed = got == want
-                ok = ok and passed
-                records.append(OutputRecord(
-                    kind="interchange",
-                    params=(("alpha", ",".join(map(str, alpha))),
-                            ("beta", ",".join(map(str, beta))),
-                            ("dir", direction)),
-                    verdict="pass" if passed else "fail",
-                    payload=_poly_text(got),
-                ))
-    return Report(records=records, ok=ok)
+                report.add("interchange", (("alpha", ",".join(map(str, alpha))),
+                                           ("beta", ",".join(map(str, beta))),
+                                           ("dir", direction)),
+                           got == want, _poly_text(got))
+    return report
 
 
 def _poly_text(p: Poly) -> str:

@@ -46,6 +46,8 @@ from staralg.poly import (
 )
 from staralg.weyl import from_left_symbol, from_right_symbol, left_symbol, right_symbol
 
+from reference import star_double_sum
+
 
 def passed(number, description):
     print(f"ACCEPTANCE {number} PASS: {description}")
@@ -78,10 +80,13 @@ def test_criterion_02_flow_map_homomorphism():
             ctx = StarContext(n, t)
             f = random_poly(rng, n, 4)
             g = random_poly(rng, n, 4)
-            assert phi(ctx, star(ctx, f, g)) == phi(ctx, f) * phi(ctx, g)
+            # the product by its defining double sum, not through phi
+            fg = star_double_sum(ctx, f, g)
+            assert phi(ctx, fg) == phi(ctx, f) * phi(ctx, g)
+            assert star(ctx, f, g) == fg
             count += 1
     assert count >= 500
-    passed(2, f"flow map is a homomorphism on {count} random pairs, "
+    passed(2, f"flow map is a homomorphism of the defined product on {count} random pairs, "
               f"t in {{0, 1, -1, 1/2, -2/3}}")
 
 
@@ -97,9 +102,16 @@ def test_criterion_03_star_associative_commutative():
             h = random_poly(rng, n, 4, max_terms=4)
             assert star(ctx, f, g) == star(ctx, g, f)
             assert star(ctx, star(ctx, f, g), h) == star(ctx, f, star(ctx, g, h))
+            # the same identities for the defining double sum, which star must equal
+            fg = star_double_sum(ctx, f, g)
+            assert fg == star_double_sum(ctx, g, f) == star(ctx, f, g)
+            fg_h = star_double_sum(ctx, fg, h)
+            assert fg_h == star_double_sum(ctx, f, star_double_sum(ctx, g, h)) == \
+                star(ctx, star(ctx, f, g), h)
             count += 1
     assert count >= 300
-    passed(3, f"star product associative and commutative on {count} random triples")
+    passed(3, f"star product (defining double sum and phi route) associative and "
+              f"commutative on {count} random triples")
 
 
 def test_criterion_04_substitution_oracle_agreement():

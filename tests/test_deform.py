@@ -22,7 +22,7 @@ from staralg.deform import (
 from staralg.poly import Poly, iter_multiindices
 
 from conftest import polys, small_t, xi_only_polys, z_only_polys
-from reference import phi_series, star_power_loop
+from reference import phi_series, star_double_sum, star_power_loop, star_taylor_by_derivatives
 
 
 def ctx1(t=1):
@@ -106,11 +106,22 @@ def test_star_dimension_mismatch():
         star(ctx1(), xi(1), xi(2))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=2).flatmap(
+           lambda n: st.tuples(polys(n=n, max_degree=3), polys(n=n, max_degree=3))),
+       small_t())
+def test_star_matches_double_sum(fg, t):
+    f, g = fg
+    c = StarContext(f.n, t)
+    assert star(c, f, g) == star_double_sum(c, f, g)
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys(n=2, max_degree=3), polys(n=2, max_degree=3), small_t())
 def test_star_commutative(f, g, t):
     c = StarContext(f.n, t)
     assert star(c, f, g) == star(c, g, f)
+    assert star_double_sum(c, f, g) == star_double_sum(c, g, f) == star(c, f, g)
 
 
 @settings(max_examples=25, deadline=None)
@@ -119,6 +130,8 @@ def test_star_commutative(f, g, t):
 def test_star_associative(f, g, h, t):
     c = StarContext(f.n, t)
     assert star(c, star(c, f, g), h) == star(c, f, star(c, g, h))
+    fg_h = star_double_sum(c, star_double_sum(c, f, g), h)
+    assert fg_h == star_double_sum(c, f, star_double_sum(c, g, h)) == star(c, star(c, f, g), h)
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,13 +139,16 @@ def test_star_associative(f, g, h, t):
 def test_star_unit(f, t):
     c = StarContext(f.n, t)
     assert star(c, Poly.const(f.n, 1), f) == f
+    assert star_double_sum(c, Poly.const(f.n, 1), f) == f
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys(n=2, max_degree=3), polys(n=2, max_degree=3), small_t())
 def test_flow_map_is_homomorphism(f, g, t):
     c = StarContext(f.n, t)
-    assert phi(c, star(c, f, g)) == phi(c, f) * phi(c, g)
+    fg = star_double_sum(c, f, g)  # the defined product, not the phi route
+    assert phi(c, fg) == phi(c, f) * phi(c, g)
+    assert star(c, f, g) == fg
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,6 +158,9 @@ def test_partials_are_star_derivations(f, g, t, i):
     c = StarContext(f.n, t)
     assert star(c, f, g).d_z(i) == star(c, f.d_z(i), g) + star(c, f, g.d_z(i))
     assert star(c, f, g).d_xi(i) == star(c, f.d_xi(i), g) + star(c, f, g.d_xi(i))
+    ref = star_double_sum
+    assert ref(c, f, g).d_z(i) == ref(c, f.d_z(i), g) + ref(c, f, g.d_z(i))
+    assert ref(c, f, g).d_xi(i) == ref(c, f.d_xi(i), g) + ref(c, f, g.d_xi(i))
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,6 +225,8 @@ def test_star_monomial_three_routes(t):
             for beta in iter_multiindices(n, 3):
                 direct = star_monomial(c, alpha, beta)
                 generic = star(c, Poly.xi_monomial(n, alpha), Poly.z_monomial(n, beta))
+                assert generic == star_double_sum(c, Poly.xi_monomial(n, alpha),
+                                                  Poly.z_monomial(n, beta))
                 flowed = phi_series(StarContext(n, -t), Poly.monomial(n, alpha, beta))
                 assert direct == generic == flowed
 
@@ -344,6 +365,13 @@ def test_star_taylor_examples():
     assert star_taylor(c, xi()).coefficients == {(1,): Poly.const(1, 1)}
     got = star_taylor(c, xi() * z()).coefficients
     assert got == {(0,): Poly.const(1, 1), (1,): z()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(max_degree=3), small_t())
+def test_star_taylor_matches_derivative_route(f, t):
+    c = StarContext(f.n, t)
+    assert star_taylor(c, f) == star_taylor_by_derivatives(c, f)
 
 
 @settings(max_examples=40, deadline=None)

@@ -247,6 +247,25 @@ def test_degree_cap_aborts():
         power_experiment(oracle, xi() ** 3, z(), 8, "star", degree_cap=10)
 
 
+@pytest.mark.parametrize("f, b, n, cap, refused", [
+    ("x1*z1+x1^2", "x1^2*z1+x1", 1, 5, "b*f^2 is 7"),
+    ("x1^3", "z1", 1, 10, "f^4 is 12"),
+    ("x1*z2+x2^2*z1", "z1^2", 2, 8, "f^3 is 9")])
+def test_degree_cap_refuses_before_building(monkeypatch, f, b, n, cap, refused):
+    real_mul, built = Poly.__mul__, []
+
+    def recording_mul(self, other):
+        built.append(real_mul(self, other))
+        return built[-1]
+
+    monkeypatch.setattr(Poly, "__mul__", recording_mul)
+    oracle = MembershipOracle("image_ev0", t=Fraction(1))
+    with pytest.raises(DegreeCapExceeded) as exc:
+        power_experiment(oracle, parse_poly(f, n), parse_poly(b, n), 12, "star", degree_cap=cap)
+    assert str(exc.value) == f"degree of {refused}, above the cap {cap}"
+    assert built and max(p.degree().total for p in built) <= cap
+
+
 def test_first_stable_n_tail():
     # membership pattern with a false entry mid-run: first_stable_n is the
     # start of the trailing all-member block

@@ -106,6 +106,30 @@ def test_divide_monomials():
         (z() + Poly.const(1, 1)).divide_z_monomial((1,))
 
 
+def test_terms_are_read_only():
+    p = Poly.const(3, 1)
+    with pytest.raises(TypeError):
+        p.terms[((0, 0, 0), (0, 0, 0))] = 5
+    assert p.terms == {((0, 0, 0), (0, 0, 0)): Fraction(1)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(n=2), polys(n=2))
+def test_equal_polys_hash_equal(f, g):
+    rebuilt = Poly(f.n, dict(reversed(list(f.terms.items()))))
+    assert rebuilt == f and hash(rebuilt) == hash(f)
+    assert (f + g) - g == f and hash((f + g) - g) == hash(f)
+    assert len({f, rebuilt, Poly(f.n, dict(f.terms))}) == 1
+
+
+def test_sum_accumulates_like_repeated_addition():
+    pieces = [xi() * z(), z() * 2, xi() * z() * Fraction(-1, 2), -z() * 2]
+    assert Poly.sum(1, pieces) == pieces[0] + pieces[1] + pieces[2] + pieces[3]
+    assert Poly.sum(1, []) == Poly.sum(1, [xi(), -xi()]) == Poly.zero(1)
+    with pytest.raises(ValueError):
+        Poly.sum(1, [Poly.const(2, 1)])
+
+
 def test_multiindex_helpers():
     assert mi_factorial((3, 2)) == 12
     assert mi_binomial((3, 2), (1, 1)) == 6
