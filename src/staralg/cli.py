@@ -6,13 +6,14 @@ suite fails (or an experiment aborts on the degree cap), 2 on usage errors
 including malformed expressions.
 
 Note: argument values starting with '-' (negative t, leading-minus
-polynomials) must be passed in --flag=value form.  --f/--g/--input accept
-'-' to read the expression from stdin.
+polynomials) must be passed in --flag=value form.  --f/--g/--b/--input
+accept '-' to read the expression from stdin (for at most one of them).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -52,15 +53,6 @@ class UsageError(Exception):
     pass
 
 
-def _read_expr(value: str, already_read: list[bool]) -> str:
-    if value == "-":
-        if already_read[0]:
-            raise UsageError("stdin '-' may be used for at most one argument")
-        already_read[0] = True
-        return sys.stdin.read()
-    return value
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -81,7 +73,9 @@ def _parse_multiindex(text: str, n: int, name: str) -> MultiIndex:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="staralg",
         description="Exact star-product algebra, operator symbol calculus, "
@@ -152,29 +146,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_star(args) -> int:
-    stdin_used = [False]
     ctx = StarContext(args.n, _parse_fraction(args.t))
-    f = parse_poly(_read_expr(args.f, stdin_used), args.n)
-    g = parse_poly(_read_expr(args.g, stdin_used), args.n)
+    f = parse_poly(args.f, args.n)
+    g = parse_poly(args.g, args.n)
     print(format_poly(star(ctx, f, g)))
     return 0
 
 
 def _cmd_phi(args) -> int:
-    stdin_used = [False]
     t = _parse_fraction(args.t)
     if args.inverse:
         t = -t
     ctx = StarContext(args.n, t)
-    f = parse_poly(_read_expr(args.f, stdin_used), args.n)
+    f = parse_poly(args.f, args.n)
     print(format_poly(phi_map(ctx, f)))
     return 0
 
 
 def _cmd_taylor(args) -> int:
-    stdin_used = [False]
     ctx = StarContext(args.n, _parse_fraction(args.t))
-    f = parse_poly(_read_expr(args.f, stdin_used), args.n)
+    f = parse_poly(args.f, args.n)
     expansion = star_taylor(ctx, f)
     for alpha in sorted(expansion.coefficients,
                         key=lambda a: grlex_key((a, mi_zero(args.n)))):
@@ -184,16 +175,14 @@ def _cmd_taylor(args) -> int:
 
 
 def _cmd_symbol(args) -> int:
-    stdin_used = [False]
-    text = _read_expr(args.input, stdin_used)
     if args.dir in ("left", "right"):
-        op = parse_weyl(text, args.n)
+        op = parse_weyl(args.input, args.n)
         symbol = left_symbol(op) if args.dir == "left" else right_symbol(op)
     elif args.dir == "l2r":
-        p = parse_poly(text, args.n)
+        p = parse_poly(args.input, args.n)
         symbol = right_symbol(from_left_symbol(p))
     else:  # r2l
-        p = parse_poly(text, args.n)
+        p = parse_poly(args.input, args.n)
         symbol = left_symbol(from_right_symbol(p))
     print(format_poly(symbol))
     return 0
@@ -252,9 +241,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_mathieu(args) -> int:
-    stdin_used = [False]
-    f = parse_poly(_read_expr(args.f, stdin_used), args.n)
-    b = parse_poly(_read_expr(args.b, stdin_used), args.n)
+    f = parse_poly(args.f, args.n)
+    b = parse_poly(args.b, args.n)
     if args.oracle == "image":
         oracle = mathieu.MembershipOracle("image_ev0", t=_parse_fraction(args.t))
         power_kind = "star"
@@ -294,6 +282,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        dashes = [name for name in ("f", "g", "b", "input") if getattr(args, name, None) == "-"]
+        if len(dashes) > 1:
+            raise UsageError("stdin '-' may be used for at most one argument")
+        for name in dashes:
+            setattr(args, name, sys.stdin.read())
         return _HANDLERS[args.command](args)
     except (UsageError, ParseError, ValueError) as exc:
         print(f"staralg: error: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ from .poly import (
 )
 from .report import Report
 from .series import USeries
+from .syntax import format_poly
 
 
 @dataclass(frozen=True)
@@ -188,12 +189,6 @@ def _fmt_mi(a: MultiIndex) -> str:
     return ",".join(map(str, a))
 
 
-def _fmt_poly(p: Poly) -> str:
-    from .syntax import format_poly
-
-    return format_poly(p)
-
-
 def generating_check(k: int, order: int) -> Report:
     """Coefficient m of the generating series equals L_m^[k] for 0 <= m <= order."""
     if order < 0:
@@ -203,7 +198,7 @@ def generating_check(k: int, order: int) -> Report:
     for m in range(order + 1):
         got = series.coeffs[m]
         report.add("genfun", (("k", str(k)), ("m", str(m))), got == laguerre1(m, k),
-                   _fmt_poly(got))
+                   format_poly(got))
     return report
 
 
@@ -237,7 +232,7 @@ def ode_check(mmax: int, kmax: int) -> Report:
             f = laguerre1(m, k)
             residual = z * f.d_z(1).d_z(1) + (Poly.const(1, k + 1) - z) * f.d_z(1) + f * m
             report.add("ode", (("m", str(m)), ("k", str(k))), residual.is_zero(),
-                       _fmt_poly(residual))
+                       format_poly(residual))
     return report
 
 
@@ -258,7 +253,7 @@ def star_exp_check(k: MultiIndex, order: int) -> Report:
             got = series.coeffs[m]
             want = laguerre_star(LaguerreSpec((m,), (k[i - 1],)))
             report.add("starexp", (("k", _fmt_mi(k)), ("coordinate", str(i)), ("m", str(m))),
-                       got == want, _fmt_poly(got))
+                       got == want, format_poly(got))
     if n > 1:
         for alpha in iter_multiindices(n, order):
             product = Poly.const(n, 1)
@@ -266,7 +261,7 @@ def star_exp_check(k: MultiIndex, order: int) -> Report:
                 one_d = laguerre_star(LaguerreSpec((alpha[i - 1],), (k[i - 1],)))
                 product = product * _embed(one_d, n, i)
             report.add("starexp", (("k", _fmt_mi(k)), ("coordinate", "all"), ("m", _fmt_mi(alpha))),
-                       product == laguerre_star(LaguerreSpec(alpha, k)), _fmt_poly(product))
+                       product == laguerre_star(LaguerreSpec(alpha, k)), format_poly(product))
     return report
 
 

@@ -43,6 +43,7 @@ from .poly import (
     mi_sum,
 )
 from .report import OutputRecord, Report
+from .syntax import format_poly
 
 DEFAULT_DEGREE_CAP = 40
 
@@ -201,8 +202,6 @@ class ExperimentReport:
     first_stable_n: int | None
 
     def records(self) -> list[OutputRecord]:
-        from .syntax import format_poly
-
         out = []
         if self.oracle.kind == "laguerre_span":
             param = ("k", ",".join(map(str, self.oracle.k)))
@@ -318,8 +317,6 @@ def oracle_equivalence_scan(t: Fraction, n: int, degmax: int,
                             random_count: int = 20, seed: int = 0) -> Report:
     """Cross-validate the two image oracles on the monomial basis up to
     degmax plus seeded random combinations."""
-    from .syntax import format_poly
-
     ctx = StarContext(n, Fraction(t))
     report = Report()
 

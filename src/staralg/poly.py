@@ -199,10 +199,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_xi_only(self) -> bool:
-        """True iff no term depends on any z variable."""
-        return all(mi_sum(ze) == 0 for _, ze in self.terms)
-
     def is_z_only(self) -> bool:
         """True iff no term depends on any x variable."""
         return all(mi_sum(xe) == 0 for xe, _ in self.terms)

@@ -17,6 +17,13 @@ In operator expressions, '*' means composition left to right, so
 "z1^2*d1^3" is (multiply by z1^2) composed with (differentiate thrice),
 not a product of symbols.
 
+The parser builds values as it reads, a Poly in mode 'poly' and a WeylOp
+in mode 'weyl'; no syntax tree is kept.  A sum collects its summands
+(negating the subtracted ones) and adds them in one pass, so long sums cost
+linear, not quadratic, time.  The whole text is tokenized first, so a
+lexical error is reported before any arithmetic; a grammar error is
+reported only after the valid prefix before it has been evaluated.
+
 Printing is canonical: terms in descending graded-lex order on the
 concatenated exponent, rational coefficients as a/b, exponent 1 elided,
 coefficient 1 elided except on the constant term.  parse(print(p)) == p.
@@ -26,10 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from typing import Any, Callable, NamedTuple
 
-from .poly import Poly, grlex_key
-from .weyl import WeylOp
+from .poly import Poly
+from .weyl import WeylOp, from_right_symbol, right_symbol
 
 
 class ParseError(ValueError):
@@ -39,48 +46,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
-
-
-# ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    kind: str  # "x" | "z" | "d"
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-
-if TYPE_CHECKING:  # a runtime Union stays in typing's cache and pins re-imported modules
-    Expr = Union[Num, Var, Neg, Add, Mul, Pow]
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +115,46 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Mode(NamedTuple):
+    """What a parse builds: the admitted variable letters and one builder
+    per production.  The builders look their callees up when they run."""
+
+    kinds: tuple[str, ...]
+    where: str
+    const: Callable[[int, Fraction], Any]
+    var: Callable[[int, str, int], Any]
+    sum: Callable[[int, list], Any]
+    mul: Callable[[Any, Any], Any]
+    pow: Callable[[Any, int], Any]
+
+
+_POLY = _Mode(
+    ("x", "z"), "polynomial",
+    const=lambda n, c: Poly.const(n, c),
+    var=lambda n, kind, i: Poly.xi_var(n, i) if kind == "x" else Poly.z_var(n, i),
+    sum=lambda n, terms: Poly.sum(n, terms),
+    mul=lambda a, b: a * b,
+    pow=lambda a, e: a ** e,
+)
+
+_WEYL = _Mode(
+    ("z", "d"), "operator",
+    const=lambda n, c: WeylOp.identity(n).scale(c),
+    var=lambda n, kind, i: WeylOp.dz(n, i) if kind == "d" else WeylOp.mul_by(Poly.z_var(n, i)),
+    sum=lambda n, terms: from_right_symbol(Poly.sum(n, map(right_symbol, terms))),
+    mul=lambda a, b: a.compose(b),
+    pow=lambda a, e: a.compose_pow(e),
+)
+
+
 class _Parser:
-    def __init__(self, text: str, n: int, allowed_kinds: tuple[str, ...]):
+    def __init__(self, text: str, n: int, mode: _Mode):
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         self.tokens = _tokenize(text)
         self.pos = 0
         self.n = n
-        self.allowed_kinds = allowed_kinds
+        self.mode = mode
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -173,45 +170,47 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {_describe(tok)}", tok.line, tok.column)
         return self.advance()
 
-    def parse(self) -> Expr:
-        expr = self.sum()
+    def parse(self):
+        value = self.sum()
         tok = self.peek()
         if tok.kind != "END":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
-        return expr
+        return value
 
-    def sum(self) -> Expr:
-        left = self.product()
+    def sum(self):
+        terms = [self.product()]
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.value in "+-":
                 self.advance()
-                right = self.product()
-                left = Add(left, Neg(right) if tok.value == "-" else right)
+                term = self.product()
+                terms.append(-term if tok.value == "-" else term)
+            elif len(terms) == 1:
+                return terms[0]
             else:
-                return left
+                return self.mode.sum(self.n, terms)
 
-    def product(self) -> Expr:
+    def product(self):
         left = self.unary()
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.value == "*":
                 self.advance()
-                left = Mul(left, self.unary())
+                left = self.mode.mul(left, self.unary())
             elif tok.kind == "OP" and tok.value == "/":
                 raise ParseError("'/' is only allowed inside a rational literal a/b",
                                  tok.line, tok.column)
             else:
                 return left
 
-    def unary(self) -> Expr:
+    def unary(self):
         tok = self.peek()
         if tok.kind == "OP" and tok.value == "-":
             self.advance()
-            return Neg(self.unary())
+            return -self.unary()
         return self.power()
 
-    def power(self) -> Expr:
+    def power(self):
         base = self.atom()
         tok = self.peek()
         if tok.kind == "OP" and tok.value == "^":
@@ -223,10 +222,10 @@ class _Parser:
                 raise ParseError(f"expected a non-negative integer exponent, found "
                                  f"{_describe(exp_tok)}", exp_tok.line, exp_tok.column)
             self.advance()
-            return Pow(base, exp_tok.value)
+            return self.mode.pow(base, exp_tok.value)
         return base
 
-    def atom(self) -> Expr:
+    def atom(self):
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
@@ -240,19 +239,18 @@ class _Parser:
                 self.advance()
                 if den.value == 0:
                     raise ParseError("zero denominator", den.line, den.column)
-                return Num(Fraction(tok.value, den.value))
-            return Num(Fraction(tok.value))
+                return self.mode.const(self.n, Fraction(tok.value, den.value))
+            return self.mode.const(self.n, Fraction(tok.value))
         if tok.kind == "VAR":
             self.advance()
             kind, index = tok.value
-            if kind not in self.allowed_kinds:
-                where = "polynomial" if "x" in self.allowed_kinds else "operator"
-                raise ParseError(f"variable {tok.text!r} is not allowed in {where} expressions",
-                                 tok.line, tok.column)
+            if kind not in self.mode.kinds:
+                raise ParseError(f"variable {tok.text!r} is not allowed in "
+                                 f"{self.mode.where} expressions", tok.line, tok.column)
             if not 1 <= index <= self.n:
                 raise ParseError(f"variable index {index} out of range 1..{self.n}",
                                  tok.line, tok.column)
-            return Var(kind, index)
+            return self.mode.var(self.n, kind, index)
         if tok.kind == "OP" and tok.value == "(":
             self.advance()
             inner = self.sum()
@@ -264,31 +262,15 @@ class _Parser:
         raise ParseError(f"unexpected {_describe(tok)}", tok.line, tok.column)
 
 
-def parse_expr(text: str, n: int, mode: str = "poly") -> Expr:
-    """Parse to an AST; mode 'poly' admits x/z variables, 'weyl' admits z/d."""
-    kinds = ("x", "z") if mode == "poly" else ("z", "d")
-    return _Parser(text, n, kinds).parse()
+def parse_expr(text: str, n: int, mode: str = "poly") -> Poly | WeylOp:
+    """Parse text to its value: mode 'poly' admits x/z variables and builds a
+    Poly, 'weyl' admits z/d and builds a WeylOp."""
+    return _Parser(text, n, _POLY if mode == "poly" else _WEYL).parse()
 
 
 def parse_poly(text: str, n: int) -> Poly:
     """Parse polynomial text over x1..xn, z1..zn."""
-    return _to_poly(parse_expr(text, n, "poly"), n)
-
-
-def _to_poly(expr: Expr, n: int) -> Poly:
-    if isinstance(expr, Num):
-        return Poly.const(n, expr.value)
-    if isinstance(expr, Var):
-        return Poly.xi_var(n, expr.index) if expr.kind == "x" else Poly.z_var(n, expr.index)
-    if isinstance(expr, Neg):
-        return -_to_poly(expr.operand, n)
-    if isinstance(expr, Add):
-        return _to_poly(expr.left, n) + _to_poly(expr.right, n)
-    if isinstance(expr, Mul):
-        return _to_poly(expr.left, n) * _to_poly(expr.right, n)
-    if isinstance(expr, Pow):
-        return _to_poly(expr.base, n) ** expr.exponent
-    raise TypeError(f"unknown AST node {expr!r}")
+    return parse_expr(text, n, "poly")
 
 
 def parse_weyl(text: str, n: int) -> WeylOp:
@@ -296,25 +278,7 @@ def parse_weyl(text: str, n: int) -> WeylOp:
 
     The result is normalized to right normal form on construction.
     """
-    return _to_weyl(parse_expr(text, n, "weyl"), n)
-
-
-def _to_weyl(expr: Expr, n: int) -> WeylOp:
-    if isinstance(expr, Num):
-        return WeylOp.identity(n).scale(expr.value)
-    if isinstance(expr, Var):
-        if expr.kind == "d":
-            return WeylOp.dz(n, expr.index)
-        return WeylOp.mul_by(Poly.z_var(n, expr.index))
-    if isinstance(expr, Neg):
-        return -_to_weyl(expr.operand, n)
-    if isinstance(expr, Add):
-        return _to_weyl(expr.left, n) + _to_weyl(expr.right, n)
-    if isinstance(expr, Mul):
-        return _to_weyl(expr.left, n).compose(_to_weyl(expr.right, n))
-    if isinstance(expr, Pow):
-        return _to_weyl(expr.base, n).compose_pow(expr.exponent)
-    raise TypeError(f"unknown AST node {expr!r}")
+    return parse_expr(text, n, "weyl")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +290,7 @@ def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for (xe, ze), coeff in sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True):
+    for (xe, ze), coeff in p.sorted_terms():
         factors = []
         for i, e in enumerate(xe, start=1):
             if e:

@@ -1,6 +1,6 @@
 """CLI: output contracts, exit codes, determinism."""
 
-from staralg.cli import main
+from staralg.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -140,9 +140,19 @@ def test_mathieu_degree_cap_aborts(capsys):
 def test_stdin_dash(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("x1*z1"))
-    code, out, _ = run_cli(capsys, "phi", "--n", "1", "--t", "1", "--f", "-")
-    assert code == 0 and out == "x1*z1 + 1\n"
+    cases = [
+        ("x1*z1", ["phi", "--n", "1", "--t", "1", "--f", "-"], "x1*z1 + 1\n"),
+        ("z1", ["mathieu", "--oracle", "image", "--n", "1", "--t", "1", "--f", "x1",
+                "--b", "-", "--mmax", "1"],
+         "kind=mathieu\toracle=image_ev0\tt=1\tm=1\tpower=member\tverdict=member\t"
+         "payload=x1*z1 - 1\n"),
+        ("z1^2*d1^3", ["symbol", "--n", "1", "--dir", "right", "--input", "-"],
+         "x1^3*z1^2\n"),
+    ]
+    for text, argv, want in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == want, argv
 
 
 def test_stdin_dash_only_once(capsys, monkeypatch):
@@ -168,6 +178,31 @@ def test_argparse_usage_error_exit_two(capsys):
     code = main(["unknown-subcommand"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_help_unchanged_by_earlier_requests(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = ["star", "phi", "taylor", "symbol", "apply", "laguerre", "check", "mathieu"]
+
+    def helps():
+        out = {}
+        for cmd in ["", *commands]:
+            code, text, _ = run_cli(capsys, *filter(None, [cmd, "--help"]))
+            assert code == 0 and text
+            out[cmd] = text
+        return out
+
+    before = helps()
+    run_cli(capsys, "star", "--n", "2", "--f", "x1", "--g", "z2")
+    run_cli(capsys, "symbol", "--n", "1", "--dir", "l2r", "--input", "x1*z1")
+    run_cli(capsys, "check", "--suite", "recur", "--mmax", "2")
+    run_cli(capsys, "phi", "--n", "1", "--f", "x1 +")
+    run_cli(capsys, "laguerre", "--n", "1")
+    assert helps() == before
 
 
 def test_cli_determinism(capsys):

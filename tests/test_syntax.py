@@ -2,9 +2,11 @@
 
 import gc
 import importlib
+import operator
 import sys
 import weakref
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,40 @@ def test_parse_weyl_product_is_composition():
 def test_parse_weyl_rejects_x_vars():
     with pytest.raises(ParseError, match="not allowed in operator"):
         parse_weyl("x1*d1", 1)
+
+
+def _signed_sum(pieces):
+    """'p0 - p1 + p2 - p3 ...' and the sign it gives each piece."""
+    signs = [(-1) ** i for i in range(len(pieces))]
+    text = pieces[0] + "".join((" + " if s > 0 else " - ") + p
+                               for s, p in zip(signs[1:], pieces[1:]))
+    return text, signs
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def test_long_polynomial_sum_is_added_once(monkeypatch):
+    # repeated monomials, so summands cancel and merge
+    pieces = [f"{i}/7*x1^{i % 5}*z2^{i % 3}" for i in range(1, 301)]
+    text, signs = _signed_sum(pieces)
+    want = Poly.sum(2, (parse_poly(p, 2) * s for p, s in zip(pieces, signs)))
+    adds = _count_calls(monkeypatch, Poly, "__add__")
+    assert parse_poly(text, 2) == want
+    assert not adds
+
+
+def test_long_operator_sum_is_added_once(monkeypatch):
+    pieces = [f"{i}*z1^{i % 4}*d1^{i % 3}*z1" for i in range(1, 41)]
+    text, signs = _signed_sum(pieces)
+    want = reduce(operator.add, (parse_weyl(p, 1).scale(s) for p, s in zip(pieces, signs)))
+    adds = _count_calls(monkeypatch, WeylOp, "__add__")
+    assert parse_weyl(text, 1) == want
+    assert not adds
 
 
 # -- printing ------------------------------------------------------------------
