@@ -40,7 +40,6 @@ from .poly import (
     mi_factorial,
     mi_le,
     mi_sub,
-    mi_sum,
     mi_zero,
 )
 
@@ -158,7 +157,7 @@ def star_ev0(ctx: StarContext, f: Poly) -> Poly:
     for (xe, ze), c in f.terms.items():
         if not mi_le(xe, ze):
             continue  # dz^xe z^ze vanishes
-        coeff = c * ctx.t ** mi_sum(xe)
+        coeff = c * ctx.t ** sum(xe)
         coeff *= Fraction(mi_factorial(ze), mi_factorial(mi_sub(ze, xe)))
         key = (zero, mi_sub(ze, xe))
         out[key] = out.get(key, Fraction(0)) + coeff

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .deform import StarContext, star_monomial
 from .poly import (
@@ -33,7 +33,6 @@ from .poly import (
     iter_multiindices,
     mi_add,
     mi_factorial,
-    mi_sum,
 )
 from .report import Report
 from .series import USeries
@@ -83,34 +82,47 @@ def _embed(p: Poly, n: int, i: int) -> Poly:
     return Poly(n, out)
 
 
+def _coordinatewise(factors: Sequence[Poly]) -> Poly:
+    """The product of one-variable polynomials, the i-th lifted to coordinate i."""
+    n = len(factors)
+    total = Poly.const(n, 1)
+    for i, p in enumerate(factors, start=1):
+        total = total * _embed(p, n, i)
+    return total
+
+
 def laguerre(spec: LaguerreSpec) -> Poly:
     """The n-variable polynomial: product of L_{alpha_i}^[k_i] in z_i."""
-    total = Poly.const(spec.n, 1)
-    for i in range(1, spec.n + 1):
-        total = total * _embed(laguerre1(spec.alpha[i - 1], spec.k[i - 1]), spec.n, i)
-    return total
+    return _coordinatewise([laguerre1(a, k) for a, k in zip(spec.alpha, spec.k)])
 
 
 def laguerre_star(spec: LaguerreSpec) -> Poly:
     """L_alpha^[k] with x_i z_i substituted for z_i, built from the star product.
 
     Computes (-1)^|alpha| / alpha! * x^(-k) (x^(alpha+k) star z^alpha) at
-    parameter 1; the trailing monomial division is exact, and a failed
-    division signals an implementation bug.
+    parameter 1; the trailing monomial division is exact.
     """
-    ctx = StarContext(spec.n, Fraction(1))
-    raw = star_monomial(ctx, mi_add(spec.alpha, spec.k), spec.alpha)
-    scaled = raw * Fraction((-1) ** mi_sum(spec.alpha), mi_factorial(spec.alpha))
-    return scaled.divide_xi_monomial(spec.k)
+    return _star_built(spec, mi_add(spec.alpha, spec.k), spec.alpha, Poly.divide_xi_monomial)
 
 
 def laguerre_star_zside(spec: LaguerreSpec) -> Poly:
     """The mirrored construction (-1)^|alpha| / alpha! * z^(-k) (x^alpha star z^(alpha+k));
     must agree with ``laguerre_star`` exactly."""
-    ctx = StarContext(spec.n, Fraction(1))
-    raw = star_monomial(ctx, spec.alpha, mi_add(spec.alpha, spec.k))
-    scaled = raw * Fraction((-1) ** mi_sum(spec.alpha), mi_factorial(spec.alpha))
-    return scaled.divide_z_monomial(spec.k)
+    return _star_built(spec, spec.alpha, mi_add(spec.alpha, spec.k), Poly.divide_z_monomial)
+
+
+def _star_built(spec: LaguerreSpec, xi_exp: MultiIndex, z_exp: MultiIndex,
+                divide: Callable[[Poly, MultiIndex], Poly]) -> Poly:
+    """(-1)^|alpha| / alpha! * (x^xi_exp star z^z_exp) at parameter 1, divided
+    by the monomial of exponent k.  The division is exact by the theory, so
+    a failure is an internal fault (RuntimeError), never a usage error."""
+    raw = star_monomial(StarContext(spec.n, Fraction(1)), xi_exp, z_exp)
+    scaled = raw * Fraction((-1) ** sum(spec.alpha), mi_factorial(spec.alpha))
+    try:
+        return divide(scaled, spec.k)
+    except ValueError as exc:
+        raise RuntimeError(f"star-built Laguerre polynomial for alpha={spec.alpha}, "
+                           f"k={spec.k}: {exc}") from exc
 
 
 def laguerre_from_star_at_one(spec: LaguerreSpec) -> Poly:
@@ -122,12 +134,8 @@ def laguerre_from_star_at_one(spec: LaguerreSpec) -> Poly:
 def laguerre_genfun(spec: LaguerreSpec) -> Poly:
     """The generating-function route: per coordinate, the coefficient of
     u^alpha_i in exp(-z u/(1-u)) / (1-u)^(k_i+1); coordinates multiply."""
-    total = Poly.const(spec.n, 1)
-    for i in range(1, spec.n + 1):
-        order = spec.alpha[i - 1]
-        series = _genfun_series(spec.k[i - 1], order, Poly.z_var(1, 1))
-        total = total * _embed(series.coeffs[order], spec.n, i)
-    return total
+    return _coordinatewise([_genfun_series(k, order, Poly.z_var(1, 1)).coeffs[order]
+                            for order, k in zip(spec.alpha, spec.k)])
 
 
 def _genfun_series(k: int, order: int, letter: Poly) -> USeries:
@@ -256,10 +264,8 @@ def star_exp_check(k: MultiIndex, order: int) -> Report:
                        got == want, format_poly(got))
     if n > 1:
         for alpha in iter_multiindices(n, order):
-            product = Poly.const(n, 1)
-            for i in range(1, n + 1):
-                one_d = laguerre_star(LaguerreSpec((alpha[i - 1],), (k[i - 1],)))
-                product = product * _embed(one_d, n, i)
+            product = _coordinatewise([laguerre_star(LaguerreSpec((a,), (kk,)))
+                                       for a, kk in zip(alpha, k)])
             report.add("starexp", (("k", _fmt_mi(k)), ("coordinate", "all"), ("m", _fmt_mi(alpha))),
                        product == laguerre_star(LaguerreSpec(alpha, k)), format_poly(product))
     return report

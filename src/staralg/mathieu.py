@@ -40,7 +40,6 @@ from .poly import (
     compositions,
     grlex_key,
     iter_multiindices,
-    mi_sum,
 )
 from .report import OutputRecord, Report
 from .syntax import format_poly
@@ -91,7 +90,7 @@ def image_linear_witness(ctx: StarContext, p: Poly,
 def _split_by_grade(p: Poly) -> dict[int, Poly]:
     buckets: dict[int, dict[TermKey, Fraction]] = {}
     for (xe, ze), c in p.terms.items():
-        buckets.setdefault(mi_sum(xe) - mi_sum(ze), {})[(xe, ze)] = c
+        buckets.setdefault(sum(xe) - sum(ze), {})[(xe, ze)] = c
     return {g: Poly(p.n, t) for g, t in buckets.items()}
 
 
@@ -330,7 +329,7 @@ def oracle_equivalence_scan(t: Fraction, n: int, degmax: int,
 
     for total in range(degmax + 1):
         for xe in iter_multiindices(n, total):
-            for ze in compositions(n, total - mi_sum(xe)):
+            for ze in compositions(n, total - sum(xe)):
                 probe(Poly.monomial(n, xe, ze), "monomial")
     rng = random.Random(seed)
     for _ in range(random_count):
@@ -352,9 +351,9 @@ def basis_power_scan(t: Fraction, n: int, degmax: int, mmax: int,
     reports = []
     for total in range(degmax + 1):
         for xe in iter_multiindices(n, total):
-            if mi_sum(xe) == 0:
+            if sum(xe) == 0:
                 continue  # candidates come from the x-generated ideal
-            for ze in compositions(n, total - mi_sum(xe)):
+            for ze in compositions(n, total - sum(xe)):
                 f = Poly.monomial(n, xe, ze)
                 reports.append(power_experiment(oracle, f, b, mmax, "star",
                                                 degree_cap=degree_cap))

@@ -59,10 +59,6 @@ def mi_le(a: MultiIndex, b: MultiIndex) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mi_sum(a: MultiIndex) -> int:
-    return sum(a)
-
-
 def mi_factorial(a: MultiIndex) -> int:
     out = 1
     for k in a:
@@ -201,7 +197,7 @@ class Poly:
 
     def is_z_only(self) -> bool:
         """True iff no term depends on any x variable."""
-        return all(mi_sum(xe) == 0 for xe, _ in self.terms)
+        return all(sum(xe) == 0 for xe, _ in self.terms)
 
     def coefficient(self, xi_exp: MultiIndex, z_exp: MultiIndex) -> Fraction:
         return self.terms.get((tuple(xi_exp), tuple(z_exp)), Fraction(0))
@@ -215,7 +211,7 @@ class Poly:
             return ZERO_DEGREE
         xi_deg = z_deg = total = 0
         for xe, ze in self.terms:
-            sx, sz = mi_sum(xe), mi_sum(ze)
+            sx, sz = sum(xe), sum(ze)
             xi_deg = max(xi_deg, sx)
             z_deg = max(z_deg, sz)
             total = max(total, sx + sz)
@@ -228,7 +224,7 @@ class Poly:
     def homogeneous_part(self, total_degree: int) -> "Poly":
         """The homogeneous component of the given total degree."""
         picked = {k: c for k, c in self.terms.items()
-                  if mi_sum(k[0]) + mi_sum(k[1]) == total_degree}
+                  if sum(k[0]) + sum(k[1]) == total_degree}
         return Poly(self.n, picked)
 
     # -- arithmetic ----------------------------------------------------------

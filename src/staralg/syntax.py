@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from .poly import Poly
-from .weyl import WeylOp, from_right_symbol, right_symbol
+from .weyl import WeylOp
 
 
 class ParseError(ValueError):
@@ -139,9 +139,9 @@ _POLY = _Mode(
 
 _WEYL = _Mode(
     ("z", "d"), "operator",
-    const=lambda n, c: WeylOp.identity(n).scale(c),
-    var=lambda n, kind, i: WeylOp.dz(n, i) if kind == "d" else WeylOp.mul_by(Poly.z_var(n, i)),
-    sum=lambda n, terms: from_right_symbol(Poly.sum(n, map(right_symbol, terms))),
+    const=lambda n, c: WeylOp(Poly.const(n, c)),
+    var=lambda n, kind, i: WeylOp(Poly.xi_var(n, i) if kind == "d" else Poly.z_var(n, i)),
+    sum=lambda n, terms: WeylOp(Poly.sum(n, (op.symbol for op in terms))),
     mul=lambda a, b: a.compose(b),
     pow=lambda a, e: a.compose_pow(e),
 )
@@ -276,7 +276,7 @@ def parse_poly(text: str, n: int) -> Poly:
 def parse_weyl(text: str, n: int) -> WeylOp:
     """Parse operator text over z1..zn and d1..dn; '*' composes left to right.
 
-    The result is normalized to right normal form on construction.
+    The result is the operator's right normal form, stored as its right symbol.
     """
     return parse_expr(text, n, "weyl")
 

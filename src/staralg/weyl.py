@@ -1,17 +1,20 @@
 """Differential operators on Q[z] with polynomial coefficients.
 
-An operator is kept in canonical *right normal form*
+Every operator has a unique *right normal form*
 
     W = sum_a  c_a(z) * dz^a,
 
-i.e. every multiplication operator written to the left of the derivative
-powers; this representation is unique.  Composition renormalizes using the
-single commutation relation dz_i o z_j = z_j o dz_i + [i = j], applied by
-structural recursion on exponents (the Leibniz rule), never by symbolic
-rewriting.
+with every multiplication operator written to the left of the derivative
+powers.  A WeylOp stores its right total symbol sum_a c_a(z) x^a, the
+polynomial in Q[x, z] that replaces dz^a by x^a, so every polynomial is the
+symbol of exactly one operator.  Composition is the symbol product
 
-The right total symbol replaces dz^a by x^a, giving a polynomial in
-Q[x, z]; the left total symbol encodes the alternative normal form
+    sigma(A o B) = sum_g (1/g!) dx^g sigma(A) * dz^g sigma(B),
+
+which is the Leibniz rule dz^a o c(z) = sum_{g <= a} C(a, g) (dz^g c) dz^(a-g)
+applied to every term at once, never symbolic rewriting.
+
+The left total symbol encodes the alternative normal form
 sum_b dz^b o c_b(z).  The two symbol maps are linear bijections, and the
 flow maps phi_{+1} / phi_{-1} of the cross-Laplacian interchange them.
 """
@@ -20,20 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .deform import StarContext, phi
 from .poly import (
     MultiIndex,
     Poly,
     Scalar,
-    TermKey,
     iter_multiindices,
-    mi_add,
     mi_binomial,
     mi_le,
     mi_sub,
-    mi_unit,
     mi_zero,
 )
 from .report import Report
@@ -41,68 +40,45 @@ from .report import Report
 
 @dataclass(frozen=True)
 class WeylOp:
-    """Operator in right normal form: ``terms`` maps dz-exponent -> coefficient.
+    """The operator sum_a c_a(z) dz^a, stored as its right symbol sum_a c_a(z) x^a."""
 
-    Every coefficient is a nonzero polynomial in the z variables only.
-    """
+    symbol: Poly
 
-    n: int
-    terms: Mapping[MultiIndex, Poly]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        clean: dict[MultiIndex, Poly] = {}
-        for alpha, coeff in self.terms.items():
-            alpha = tuple(alpha)
-            if len(alpha) != self.n or any(e < 0 for e in alpha):
-                raise ValueError(f"bad derivative exponent {alpha} for dimension {self.n}")
-            if coeff.n != self.n:
-                raise ValueError(f"coefficient dimension {coeff.n} != {self.n}")
-            if not coeff.is_z_only():
-                raise ValueError("operator coefficients must lie in Q[z]")
-            if not coeff.is_zero():
-                clean[alpha] = coeff
-        object.__setattr__(self, "terms", clean)
+    @property
+    def n(self) -> int:
+        return self.symbol.n
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "WeylOp":
-        return cls(n, {})
-
-    @classmethod
     def identity(cls, n: int) -> "WeylOp":
-        return cls(n, {mi_zero(n): Poly.const(n, 1)})
+        return cls(Poly.const(n, 1))
 
     @classmethod
     def mul_by(cls, p: Poly) -> "WeylOp":
         """The multiplication operator by p(z)."""
-        return cls(p.n, {mi_zero(p.n): p})
+        if not p.is_z_only():
+            raise ValueError("operator coefficients must lie in Q[z]")
+        return cls(p)
 
     @classmethod
     def dz(cls, n: int, i: int) -> "WeylOp":
         """The derivation dz_i (1-based)."""
-        return cls(n, {mi_unit(n, i): Poly.const(n, 1)})
+        return cls(Poly.xi_var(n, i))
 
     # -- algebra -------------------------------------------------------------
 
-    def _require_same_n(self, other: "WeylOp") -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
     def __add__(self, other: "WeylOp") -> "WeylOp":
-        self._require_same_n(other)
-        return from_right_symbol(right_symbol(self) + right_symbol(other))
+        return WeylOp(self.symbol + other.symbol)
 
     def __neg__(self) -> "WeylOp":
-        return self.scale(-1)
+        return WeylOp(-self.symbol)
 
     def __sub__(self, other: "WeylOp") -> "WeylOp":
-        return self + (-other)
+        return WeylOp(self.symbol - other.symbol)
 
     def scale(self, c: Scalar) -> "WeylOp":
-        return WeylOp(self.n, {a: p * Fraction(c) for a, p in self.terms.items()})
+        return WeylOp(self.symbol * Fraction(c))
 
     def apply(self, p: Poly) -> Poly:
         """Apply the operator to a polynomial in Q[z]."""
@@ -110,27 +86,20 @@ class WeylOp:
             raise ValueError(f"dimension mismatch: {self.n} vs {p.n}")
         if not p.is_z_only():
             raise ValueError("operand must lie in Q[z]")
-        return Poly.sum(self.n, (coeff * p.d_multi("z", alpha)
-                                 for alpha, coeff in self.terms.items()))
+        partials = _z_partials(p, self._reach())
+        return Poly.sum(self.n, (Poly.z_monomial(self.n, ze, c) * partials[xe]
+                                 for (xe, ze), c in self.symbol.terms.items() if xe in partials))
 
     def compose(self, other: "WeylOp") -> "WeylOp":
-        """Operator composition self o other, renormalized to right normal form.
-
-        dz^a o c(z) = sum_{g <= a} C(a, g) (dz^g c) dz^(a-g), so each term
-        pair contributes finitely many normal-form terms.
-        """
-        self._require_same_n(other)
-        pieces = []
-        reach = tuple(map(max, zip(mi_zero(self.n), *self.terms)))  # componentwise max alpha
-        for beta, b_coeff in other.terms.items():
-            partials = _z_partials(b_coeff, reach)  # gamma -> dz^gamma b_coeff
-            for alpha, a_coeff in self.terms.items():
-                for gamma, db in partials.items():
-                    if mi_le(gamma, alpha):
-                        key = mi_add(mi_sub(alpha, gamma), beta)
-                        shift = Poly.xi_monomial(self.n, key, mi_binomial(alpha, gamma))
-                        pieces.append(shift * a_coeff * db)
-        return from_right_symbol(Poly.sum(self.n, pieces))
+        """Operator composition self o other: the symbol product
+        sum_g (1/g!) dx^g sigma(self) * dz^g sigma(other)."""
+        if self.n != other.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
+        partials = _z_partials(other.symbol, self._reach())
+        return WeylOp(Poly.sum(self.n, (
+            Poly.monomial(self.n, mi_sub(xe, gamma), ze, c * mi_binomial(xe, gamma)) * db
+            for (xe, ze), c in self.symbol.terms.items()
+            for gamma, db in partials.items() if mi_le(gamma, xe))))
 
     def compose_pow(self, m: int) -> "WeylOp":
         """m-fold composition power; m = 0 yields the identity."""
@@ -141,9 +110,9 @@ class WeylOp:
             result = result.compose(self)
         return result
 
-    def __repr__(self) -> str:
-        parts = ", ".join(f"d^{a}: {c!r}" for a, c in sorted(self.terms.items()))
-        return f"WeylOp(n={self.n}, {{{parts}}})"
+    def _reach(self) -> MultiIndex:
+        """Componentwise maximum derivative exponent."""
+        return tuple(map(max, zip(mi_zero(self.n), *(xe for xe, _ in self.symbol.terms))))
 
 
 def _z_partials(c: Poly, reach: MultiIndex) -> dict[MultiIndex, Poly]:
@@ -165,22 +134,18 @@ def _z_partials(c: Poly, reach: MultiIndex) -> dict[MultiIndex, Poly]:
 # ---------------------------------------------------------------------------
 
 def right_symbol(op: WeylOp) -> Poly:
-    """sum_a c_a(z) x^a: the direct transcription of the right normal form."""
-    return Poly(op.n, {(alpha, ze): c for alpha, coeff in op.terms.items()
-                       for (_, ze), c in coeff.terms.items()})
+    """sum_a c_a(z) x^a: the stored symbol."""
+    return op.symbol
 
 
 def from_right_symbol(p: Poly) -> WeylOp:
-    """Inverse of ``right_symbol``: regroup a polynomial by x-exponent."""
-    grouped: dict[MultiIndex, dict[TermKey, Fraction]] = {}
-    for (xe, ze), c in p.terms.items():
-        grouped.setdefault(xe, {})[(mi_zero(p.n), ze)] = c
-    return WeylOp(p.n, {xe: Poly(p.n, terms) for xe, terms in grouped.items()})
+    """Inverse of ``right_symbol``."""
+    return WeylOp(p)
 
 
 def left_symbol(op: WeylOp) -> Poly:
     """The left total symbol: phi_{-1} applied to the right symbol."""
-    return phi(StarContext(op.n, Fraction(-1)), right_symbol(op))
+    return phi(StarContext(op.n, Fraction(-1)), op.symbol)
 
 
 def from_left_symbol(p: Poly) -> WeylOp:
@@ -189,9 +154,9 @@ def from_left_symbol(p: Poly) -> WeylOp:
     Goes through ``compose`` rather than through the flow map, so the two
     symbol routes stay independently testable.
     """
-    pieces = (right_symbol(WeylOp(p.n, {beta: Poly.const(p.n, 1)}).compose(WeylOp.mul_by(c)))
-              for beta, c in from_right_symbol(p).terms.items())
-    return from_right_symbol(Poly.sum(p.n, pieces))
+    return WeylOp(Poly.sum(p.n, (
+        WeylOp(Poly.xi_monomial(p.n, xe)).compose(WeylOp(Poly.z_monomial(p.n, ze, c))).symbol
+        for (xe, ze), c in p.terms.items())))
 
 
 def interchange_check(n: int, degmax: int) -> Report:

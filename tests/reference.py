@@ -2,14 +2,25 @@
 
 Each one computes by a different method from the code under test (iterated
 series instead of the closed form, the bidifferential double sum and
-iterated partials instead of flow coordinates), so a test never compares a
-fast path with itself.
+iterated partials instead of flow coordinates, the Leibniz rule on each pair
+of operator terms instead of the symbol product), so a test never compares
+a fast path with itself.
 """
 
 from fractions import Fraction
 
 from staralg.deform import StarContext, StarTaylor, cross_laplacian, star_ev0
-from staralg.poly import Poly, iter_multiindices, mi_factorial, mi_sum
+from staralg.poly import (
+    Poly,
+    iter_multiindices,
+    mi_add,
+    mi_binomial,
+    mi_factorial,
+    mi_le,
+    mi_sub,
+    mi_zero,
+)
+from staralg.weyl import WeylOp
 
 
 def star_double_sum(ctx: StarContext, f: Poly, g: Poly) -> Poly:
@@ -25,7 +36,7 @@ def star_double_sum(ctx: StarContext, f: Poly, g: Poly) -> Poly:
     pieces = []
     for a in iter_multiindices(ctx.n, min(df.z, dg.xi)):
         for b in iter_multiindices(ctx.n, min(df.xi, dg.z)):
-            c = Fraction((-ctx.t) ** (mi_sum(a) + mi_sum(b)), mi_factorial(a) * mi_factorial(b))
+            c = Fraction((-ctx.t) ** (sum(a) + sum(b)), mi_factorial(a) * mi_factorial(b))
             left, right = f.d_multi("z", a).d_multi("xi", b), g.d_multi("xi", a).d_multi("z", b)
             pieces.append(left * right * c)
     return Poly.sum(ctx.n, pieces)
@@ -77,3 +88,29 @@ def power_experiment_loop(oracle, f: Poly, b: Poly, mmax: int):
         product_member.append(oracle.contains(product))
         products.append(product)
     return tuple(power_member), tuple(product_member), tuple(products)
+
+
+def compose_by_leibniz(a: WeylOp, b: WeylOp) -> WeylOp:
+    """a o b in right normal form, one pair of terms c(z) dz^alpha, d(z) dz^beta
+    at a time, by the Leibniz rule
+
+        dz^alpha o d(z) = sum_{g <= alpha} C(alpha, g) (dz^g d) dz^(alpha-g).
+    """
+    n = a.n
+    pieces = []
+    for beta, b_coeff in _by_derivative(b).items():
+        for alpha, a_coeff in _by_derivative(a).items():
+            for gamma in iter_multiindices(n, sum(alpha)):
+                if mi_le(gamma, alpha):
+                    key = mi_add(mi_sub(alpha, gamma), beta)
+                    shift = Poly.xi_monomial(n, key, mi_binomial(alpha, gamma))
+                    pieces.append(shift * a_coeff * b_coeff.d_multi("z", gamma))
+    return WeylOp(Poly.sum(n, pieces))
+
+
+def _by_derivative(op: WeylOp) -> dict:
+    """dz-exponent -> its coefficient in Q[z] in the right normal form."""
+    grouped = {}
+    for (xe, ze), c in op.symbol.terms.items():
+        grouped.setdefault(xe, {})[(mi_zero(op.n), ze)] = c
+    return {xe: Poly(op.n, terms) for xe, terms in grouped.items()}

@@ -1,9 +1,11 @@
 """Laguerre polynomials: explicit sums, star construction, orthogonality, verifiers."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
 
+from staralg.cli import main
 from staralg.laguerre import (
     LaguerreSpec,
     even_identity_check,
@@ -88,6 +90,19 @@ def test_laguerre_star_two_sides_agree():
             for k in iter_multiindices(n, 2):
                 spec = LaguerreSpec(alpha, k)
                 assert laguerre_star(spec) == laguerre_star_zside(spec)
+
+
+def test_failed_star_division_is_an_internal_fault(monkeypatch):
+    # staralg.laguerre, the package attribute, is the function; fetch the module
+    module = importlib.import_module("staralg.laguerre")
+    # a wrong star product leaves a term that neither x^k nor z^k divides
+    monkeypatch.setattr(module, "star_monomial", lambda ctx, a, b: ONE)
+    for build in (laguerre_star, laguerre_star_zside):
+        with pytest.raises(RuntimeError, match="not divisible"):
+            build(LaguerreSpec((0,), (1,)))
+    # not a usage error: the CLI does not turn it into exit 2
+    with pytest.raises(RuntimeError, match="not divisible"):
+        main(["laguerre", "--n", "1", "--alpha", "0", "--k", "1", "--via", "star"])
 
 
 def test_laguerre_star_substitutes_xz():

@@ -83,8 +83,8 @@ def test_parse_errors_carry_position():
 
 def test_parse_weyl_examples():
     op = parse_weyl("z1^2*d1^3", 1)
-    assert op == WeylOp(1, {(3,): z() ** 2})
-    assert parse_weyl("d1*z1", 1) == WeylOp(1, {(1,): z(), (0,): Poly.const(1, 1)})
+    assert op == WeylOp(xi() ** 3 * z() ** 2)
+    assert parse_weyl("d1*z1", 1) == WeylOp(xi() * z() + Poly.const(1, 1))
     assert parse_weyl("1", 1) == WeylOp.identity(1)
     assert parse_weyl("D1*z1", 1) == parse_weyl("d1*z1", 1)
 

@@ -17,6 +17,7 @@ from staralg.weyl import (
 )
 
 from conftest import polys, xi_only_polys, z_only_polys
+from reference import compose_by_leibniz
 
 
 def xi(n=1, i=1):
@@ -29,7 +30,7 @@ def z(n=1, i=1):
 
 def test_apply_examples():
     assert WeylOp.dz(1, 1).apply(z() ** 2) == 2 * z()
-    op = WeylOp(1, {(3,): z() ** 2})  # z^2 d^3 in right normal form
+    op = WeylOp(xi() ** 3 * z() ** 2)  # z^2 d^3 in right normal form
     assert op.apply(z() ** 3) == 6 * z() ** 2
     p = z() ** 4 - z()
     assert WeylOp.identity(1).apply(p) == p
@@ -42,18 +43,18 @@ def test_apply_requires_z_only():
 
 def test_coefficients_must_be_z_only():
     with pytest.raises(ValueError):
-        WeylOp(1, {(0,): xi()})
+        WeylOp.mul_by(xi())
 
 
 def test_compose_commutation_relation():
     d, zm = WeylOp.dz(1, 1), WeylOp.mul_by(z())
-    assert d.compose(zm) == WeylOp(1, {(1,): z(), (0,): Poly.const(1, 1)})
-    assert zm.compose(d) == WeylOp(1, {(1,): z()})
+    assert d.compose(zm) == WeylOp(xi() * z() + Poly.const(1, 1))
+    assert zm.compose(d) == WeylOp(xi() * z())
 
 
 def test_compose_third_order_example():
     got = WeylOp.dz(1, 1).compose_pow(3).compose(WeylOp.mul_by(z() ** 2))
-    want = WeylOp(1, {(3,): z() ** 2, (2,): 6 * z(), (1,): Poly.const(1, 6)})
+    want = WeylOp(xi() ** 3 * z() ** 2 + 6 * xi() ** 2 * z() + 6 * xi())
     assert got == want
     # verify by applying both sides to z^m, m <= 6
     for m in range(7):
@@ -69,8 +70,19 @@ def test_compose_coherent_with_apply(a, b, p):
     assert w1.compose(w2).apply(p) == w1.apply(w2.apply(p))
 
 
+@settings(max_examples=30, deadline=None)
+@given(polys(n=2, max_degree=3), polys(n=2, max_degree=3), polys(n=2, max_degree=3),
+       z_only_polys(n=2))
+def test_general_operators_compose_coherently(a, b, c, p):
+    a, b, c = WeylOp(a), WeylOp(b), WeylOp(c)
+    ab = a.compose(b)
+    assert ab == compose_by_leibniz(a, b)
+    assert ab.apply(p) == a.apply(b.apply(p))
+    assert ab.compose(c) == a.compose(b.compose(c))
+
+
 def test_right_symbol_examples():
-    op = WeylOp(1, {(3,): z() ** 2})
+    op = WeylOp(xi() ** 3 * z() ** 2)
     assert right_symbol(op) == xi() ** 3 * z() ** 2
     assert right_symbol(WeylOp.dz(1, 1)) == xi()
     p = z() ** 2 - 3 * z()
@@ -78,16 +90,16 @@ def test_right_symbol_examples():
 
 
 def test_from_right_symbol_examples():
-    assert from_right_symbol(xi() ** 3 * z() ** 2) == WeylOp(1, {(3,): z() ** 2})
+    assert from_right_symbol(xi() ** 3 * z() ** 2) == WeylOp(xi() ** 3 * z() ** 2)
     assert from_right_symbol(Poly.const(1, 1)) == WeylOp.identity(1)
-    assert from_right_symbol(xi() + z()) == WeylOp(1, {(1,): Poly.const(1, 1), (0,): z()})
+    assert from_right_symbol(xi() + z()) == WeylOp(xi() + z())
 
 
 def test_left_symbol_examples():
-    op = WeylOp(1, {(3,): z() ** 2})
+    op = WeylOp(xi() ** 3 * z() ** 2)
     assert left_symbol(op) == xi() ** 3 * z() ** 2 - 6 * xi() ** 2 * z() + 6 * xi()
     assert left_symbol(WeylOp.dz(1, 1)) == xi()
-    assert from_left_symbol(xi() * z()) == WeylOp(1, {(1,): z(), (0,): Poly.const(1, 1)})
+    assert from_left_symbol(xi() * z()) == WeylOp(xi() * z() + Poly.const(1, 1))
 
 
 @settings(max_examples=40, deadline=None)
