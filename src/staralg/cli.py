@@ -5,6 +5,10 @@ byte-identical bytes on stdout.  Exit codes: 0 on success, 1 when a check
 suite fails (or an experiment aborts on the degree cap), 2 on usage errors
 including malformed expressions.
 
+Resource limits, refused with exit 2 before anything is built: --n is at
+most MAX_N, and every exponent in expression text at most
+syntax.MAX_EXPONENT.
+
 Note: argument values starting with '-' (negative t, leading-minus
 polynomials) must be passed in --flag=value form.  --f/--g/--b/--input
 accept '-' to read the expression from stdin (for at most one of them).
@@ -43,6 +47,7 @@ from .weyl import (
     right_symbol,
 )
 
+MAX_N = 100  # largest --n accepted; every key of an n-variable term holds 2n exponents
 DEFAULT_DEGMAX = 4
 DEFAULT_MMAX = 8
 DEFAULT_ORDER = 8
@@ -282,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.n > MAX_N:
+            raise UsageError(f"--n {args.n} is above the limit {MAX_N}")
         dashes = [name for name in ("f", "g", "b", "input") if getattr(args, name, None) == "-"]
         if len(dashes) > 1:
             raise UsageError("stdin '-' may be used for at most one argument")

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, perm
+from math import comb, lcm, perm, prod
+from operator import sub
 
 from .poly import (
     MultiIndex,
@@ -39,7 +40,6 @@ from .poly import (
     TermKey,
     mi_factorial,
     mi_le,
-    mi_sub,
     mi_zero,
 )
 
@@ -92,7 +92,7 @@ def phi(ctx: StarContext, f: Poly) -> Poly:
         for xp, zp, w, k in partial:
             out[(xp, zp)] = out.get((xp, zp), 0) + w * t_pow[k]
     scale = denom * q ** depth
-    return Poly(f.n, {key: Fraction(v, scale) for key, v in out.items() if v})
+    return Poly._canonical(f.n, {key: Fraction(v, scale) for key, v in out.items() if v})
 
 
 def star(ctx: StarContext, f: Poly, g: Poly) -> Poly:
@@ -149,19 +149,21 @@ def star_ev0(ctx: StarContext, f: Poly) -> Poly:
     Termwise, x^b z^g maps to t^|b| * dz^b(z^g), extended linearly.  The
     result lies in Q[z], and the map is an algebra homomorphism from the
     star_t product to the ordinary product on Q[z]; it also factors as
-    evaluate(phi(f), x=0).
+    evaluate(phi(f), x=0).  Summed in integers over one common denominator.
     """
     ctx.check(f)
-    out: dict = {}
+    live = [(xe, ze, c) for (xe, ze), c in f.terms.items() if mi_le(xe, ze)]  # else dz^xe z^ze = 0
+    depth = max((sum(xe) for xe, _, _ in live), default=0)
+    p, q = ctx.t.numerator, ctx.t.denominator
+    denom = lcm(*(c.denominator for _, _, c in live))
     zero = mi_zero(ctx.n)
-    for (xe, ze), c in f.terms.items():
-        if not mi_le(xe, ze):
-            continue  # dz^xe z^ze vanishes
-        coeff = c * ctx.t ** sum(xe)
-        coeff *= Fraction(mi_factorial(ze), mi_factorial(mi_sub(ze, xe)))
-        key = (zero, mi_sub(ze, xe))
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return Poly(ctx.n, out)
+    out: dict[TermKey, int] = {}
+    for xe, ze, c in live:  # c * t^|xe| * ze! / (ze - xe)!, scaled by denom * q^depth
+        w = c.numerator * (denom // c.denominator) * p ** sum(xe) * q ** (depth - sum(xe))
+        key = (zero, tuple(map(sub, ze, xe)))
+        out[key] = out.get(key, 0) + w * prod(map(perm, ze, xe))
+    scale = denom * q ** depth
+    return Poly._canonical(ctx.n, {key: Fraction(v, scale) for key, v in out.items() if v})
 
 
 @dataclass(frozen=True)

@@ -255,11 +255,16 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
     product_member = []
     products = []
     flow_power = Poly.const(f.n, 1)
+    # phi preserves total degree, so the caps apply in flow coordinates; Q[x, z]
+    # has no zero divisors, so deg f^m = m deg f and deg b*f^m = deg b + m deg f
+    # unless a factor is zero
+    deg_f, deg_b = flow_f.degree().total, flow_b.degree().total
     for m in range(1, mmax + 1):
-        # phi preserves total degree, so the caps apply in flow coordinates
-        _check_degree_cap(f"f^{m}", flow_power, flow_f, degree_cap)
+        deg_power = ZERO_DEGREE.total if f.is_zero() else m * deg_f
+        _check_degree_cap(f"f^{m}", deg_power, degree_cap)
         flow_power = flow_power * flow_f
-        _check_degree_cap(f"b*f^{m}", flow_b, flow_power, degree_cap)
+        deg_product = ZERO_DEGREE.total if f.is_zero() or b.is_zero() else deg_b + deg_power
+        _check_degree_cap(f"b*f^{m}", deg_product, degree_cap)
         flow_product = flow_b * flow_power
         product = phi(back, flow_product)
         verdicts = (oracle.contains(phi(back, flow_power)), oracle.contains(product))
@@ -280,14 +285,8 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
     )
 
 
-def _check_degree_cap(name: str, a: Poly, b: Poly, degree_cap: int) -> None:
-    """Refuse the product a*b before building it if its degree exceeds the cap.
-
-    Q[x, z] has no zero divisors, so deg(a*b) = deg(a) + deg(b) unless a
-    factor is zero.
-    """
-    zero = a.is_zero() or b.is_zero()
-    degree = ZERO_DEGREE.total if zero else a.degree().total + b.degree().total
+def _check_degree_cap(name: str, degree: int, degree_cap: int) -> None:
+    """Refuse a product before building it if its degree exceeds the cap."""
     if degree > degree_cap:
         raise DegreeCapExceeded(f"degree of {name} is {degree}, above the cap {degree_cap}")
 

@@ -10,6 +10,12 @@ stored coefficient is a nonzero ``Fraction``.  The zero polynomial is the
 empty mapping.  Values are immutable after construction and every operation
 is a pure function, so polynomials may be shared freely between workers.
 
+The product (like ``phi`` and ``star_ev0`` in ``deform``) sums in integers
+over one common denominator and builds one Fraction per output term.
+Kernels whose output is canonical by construction wrap it with the trusted
+``Poly._canonical``; every dict from outside, the parser's included, goes
+through ``Poly(n, terms)``, which validates and prunes it.
+
 Variable indices in the public API are 1-based, matching the surface syntax
 x1..xn / z1..zn.  Mixing polynomials of different dimension n is a hard
 error, never a coercion.
@@ -19,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -119,8 +126,9 @@ class Poly:
     """Sparse exact-rational polynomial in x1..xn, z1..zn.
 
     ``terms`` maps (x_exponent, z_exponent) to a nonzero Fraction; the
-    constructor prunes zero coefficients and validates exponent shapes, so
-    the representation invariant holds for every constructed value.  The
+    constructor prunes zero coefficients and validates exponent shapes, and
+    the kernels that skip it through ``_canonical`` produce only canonical
+    dicts, so the representation invariant holds for every value.  The
     stored mapping is a read-only view, and equal polynomials hash equal.
     """
 
@@ -148,6 +156,15 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, n: int, terms: dict[TermKey, Fraction]) -> "Poly":
+        """Wrap terms a kernel has already made canonical, skipping the checks
+        in __post_init__; outside input goes through Poly(n, terms)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "terms", MappingProxyType(terms))
+        return p
+
+    @classmethod
     def zero(cls, n: int) -> "Poly":
         return cls(n, {})
 
@@ -169,13 +186,15 @@ class Poly:
     def sum(cls, n: int, pieces: Iterable["Poly"]) -> "Poly":
         """The sum of polynomials of dimension n (zero if there are none),
         accumulated in one dict rather than one new Poly per addition."""
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
         out: dict[TermKey, Fraction] = {}
         for p in pieces:
             if p.n != n:
                 raise ValueError(f"dimension mismatch: {n} vs {p.n}")
             for k, c in p.terms.items():
                 out[k] = out[k] + c if k in out else c
-        return cls(n, out)
+        return cls._canonical(n, {k: c for k, c in out.items() if c})
 
     @classmethod
     def monomial(cls, n: int, xi_exp: MultiIndex, z_exp: MultiIndex,
@@ -241,21 +260,27 @@ class Poly:
         return Poly(self.n, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.n, {k: -c for k, c in self.terms.items()})
+        return Poly._canonical(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly(self.n, {k: c * other for k, c in self.terms.items()})
+            scaled = {k: c * other for k, c in self.terms.items()} if other else {}
+            return Poly._canonical(self.n, scaled)
         self._require_same_n(other)
-        out: dict[TermKey, Fraction] = {}
+        # integer numerators over the common denominators da, db of the factors
+        da, db = (lcm(*(c.denominator for c in p.terms.values())) for p in (self, other))
+        right = [(xb, zb, cb.numerator * (db // cb.denominator))
+                 for (xb, zb), cb in other.terms.items()]
+        out: dict[TermKey, int] = {}
         for (xa, za), ca in self.terms.items():
-            for (xb, zb), cb in other.terms.items():
-                k = (mi_add(xa, xb), mi_add(za, zb))
-                out[k] = out.get(k, Fraction(0)) + ca * cb
-        return Poly(self.n, out)
+            wa = ca.numerator * (da // ca.denominator)
+            for xb, zb, wb in right:
+                k = (tuple(map(add, xa, xb)), tuple(map(add, za, zb)))
+                out[k] = out.get(k, 0) + wa * wb
+        return Poly._canonical(self.n, {k: Fraction(v, da * db) for k, v in out.items() if v})
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self * other
@@ -290,7 +315,7 @@ class Poly:
             if e:
                 lowered = key[side][:j] + (e - 1,) + key[side][j + 1:]
                 out[(lowered, key[1]) if side == 0 else (key[0], lowered)] = c * e
-        return Poly(self.n, out)
+        return Poly._canonical(self.n, out)
 
     def d_z(self, i: int) -> "Poly":
         """Partial derivative with respect to z_i (1-based)."""
@@ -354,7 +379,7 @@ class Poly:
             if not mi_le(k, (xe, ze)[side]):
                 raise ValueError(f"term x^{xe} z^{ze} not divisible by {'xz'[side]}^{k}")
             out[(mi_sub(xe, k), ze) if side == 0 else (xe, mi_sub(ze, k))] = c
-        return Poly(self.n, out)
+        return Poly._canonical(self.n, out)
 
     def divide_xi_monomial(self, k: MultiIndex) -> "Poly":
         """Exact division by x^k; raises ValueError if any term is not divisible."""

@@ -12,6 +12,7 @@ in z_i.  Grammar, loosest to tightest binding:
 
 Implicit multiplication by juxtaposition is not allowed, whitespace is
 insignificant, and '/' is permitted only inside a rational literal a/b.
+An exponent above MAX_EXPONENT is refused before the power is built.
 
 In operator expressions, '*' means composition left to right, so
 "z1^2*d1^3" is (multiply by z1^2) composed with (differentiate thrice),
@@ -37,6 +38,9 @@ from typing import Any, Callable, NamedTuple
 
 from .poly import Poly
 from .weyl import WeylOp
+
+
+MAX_EXPONENT = 1000  # largest exponent in expression text; the default degree cap is 40
 
 
 class ParseError(ValueError):
@@ -221,6 +225,9 @@ class _Parser:
             if exp_tok.kind != "INT":
                 raise ParseError(f"expected a non-negative integer exponent, found "
                                  f"{_describe(exp_tok)}", exp_tok.line, exp_tok.column)
+            if exp_tok.value > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp_tok.value} is above the limit {MAX_EXPONENT}",
+                                 exp_tok.line, exp_tok.column)
             self.advance()
             return self.mode.pow(base, exp_tok.value)
         return base
@@ -298,12 +305,13 @@ def format_poly(p: Poly) -> str:
         for i, e in enumerate(ze, start=1):
             if e:
                 factors.append(f"z{i}" if e == 1 else f"z{i}^{e}")
-        magnitude = abs(coeff)
-        if magnitude != 1 or not factors:
-            factors.insert(0, str(magnitude))
+        num, den = coeff.numerator, coeff.denominator
+        magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if magnitude != "1" or not factors:
+            factors.insert(0, magnitude)
         term = "*".join(factors)
         if not pieces:
-            pieces.append(term if coeff > 0 else f"-{term}")
+            pieces.append(term if num > 0 else f"-{term}")
         else:
-            pieces.append(f"{' + ' if coeff > 0 else ' - '}{term}")
+            pieces.append(f"{' + ' if num > 0 else ' - '}{term}")
     return "".join(pieces)

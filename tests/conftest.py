@@ -16,8 +16,16 @@ def coefficients():
     ).filter(lambda c: c != 0)
 
 
+def mixed_coefficients():
+    """Nonzero rationals with unrelated denominators, so factors share no
+    common denominator."""
+    return st.fractions(
+        min_value=Fraction(-60), max_value=Fraction(60), max_denominator=12
+    ).filter(lambda c: c != 0)
+
+
 @st.composite
-def polys(draw, n=None, max_degree=4, max_terms=6, zero_ok=True):
+def polys(draw, n=None, max_degree=4, max_terms=6, zero_ok=True, coeffs=coefficients):
     """Random sparse polynomials with small exact-rational coefficients."""
     if n is None:
         n = draw(st.integers(min_value=1, max_value=2))
@@ -27,7 +35,7 @@ def polys(draw, n=None, max_degree=4, max_terms=6, zero_ok=True):
         budget = draw(st.integers(min_value=0, max_value=max_degree))
         xe = draw(exponents(n, budget))
         ze = draw(exponents(n, budget - sum(xe)))
-        terms[(xe, ze)] = draw(coefficients())
+        terms[(xe, ze)] = draw(coeffs())
     return Poly(n, terms)
 
 

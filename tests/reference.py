@@ -3,8 +3,9 @@
 Each one computes by a different method from the code under test (iterated
 series instead of the closed form, the bidifferential double sum and
 iterated partials instead of flow coordinates, the Leibniz rule on each pair
-of operator terms instead of the symbol product), so a test never compares
-a fast path with itself.
+of operator terms instead of the symbol product, one Fraction per term
+product instead of integers over a common denominator), so a test never
+compares a fast path with itself.
 """
 
 from fractions import Fraction
@@ -21,6 +22,30 @@ from staralg.poly import (
     mi_zero,
 )
 from staralg.weyl import WeylOp
+
+
+def mul_by_fractions(f: Poly, g: Poly) -> Poly:
+    """f * g accumulating one Fraction per pair of terms."""
+    out = {}
+    for (xa, za), ca in f.terms.items():
+        for (xb, zb), cb in g.terms.items():
+            k = (mi_add(xa, xb), mi_add(za, zb))
+            out[k] = out.get(k, Fraction(0)) + ca * cb
+    return Poly(f.n, out)
+
+
+def star_ev0_by_fractions(ctx: StarContext, f: Poly) -> Poly:
+    """star_ev0 termwise in Fractions: x^b z^g maps to t^|b| * dz^b(z^g)."""
+    out = {}
+    zero = mi_zero(ctx.n)
+    for (xe, ze), c in f.terms.items():
+        if not mi_le(xe, ze):
+            continue  # dz^xe z^ze vanishes
+        coeff = c * ctx.t ** sum(xe)
+        coeff *= Fraction(mi_factorial(ze), mi_factorial(mi_sub(ze, xe)))
+        key = (zero, mi_sub(ze, xe))
+        out[key] = out.get(key, Fraction(0)) + coeff
+    return Poly(ctx.n, out)
 
 
 def star_double_sum(ctx: StarContext, f: Poly, g: Poly) -> Poly:

@@ -1,6 +1,7 @@
 """CLI: output contracts, exit codes, determinism."""
 
-from staralg.cli import build_parser, main
+from staralg.cli import MAX_N, build_parser, main
+from staralg.syntax import MAX_EXPONENT
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +173,23 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(capsys, "laguerre", "--n", "2", "--alpha", "1",
                            "--k", "0,0")
     assert code == 2 and "alpha" in err
+
+
+def test_oversized_inputs_are_refused(capsys):
+    huge = str(10 ** 12)  # refused before anything of that size is built
+    for argv in (["star", "--f", "x1", "--g", "z1"], ["phi", "--f", "x1*z1"],
+                 ["taylor", "--f", "x1"], ["symbol", "--dir", "left", "--input", "d1"],
+                 ["apply", "--op", "d1", "--poly", "z1"],
+                 ["laguerre", "--alpha", "1", "--k", "0"], ["check", "--suite", "recur"],
+                 ["mathieu", "--oracle", "image", "--f", "x1", "--b", "z1"]):
+        code, out, err = run_cli(capsys, *argv, "--n", huge)
+        assert code == 2 and not out
+        assert err == f"staralg: error: --n {huge} is above the limit {MAX_N}\n"
+    code, out, err = run_cli(capsys, "star", "--n", "1", "--f", f"x1^{huge}", "--g", "z1")
+    assert code == 2 and not out
+    assert f"exponent {huge} is above the limit {MAX_EXPONENT} (line 1, column 4)" in err
+    code, out, _ = run_cli(capsys, "phi", "--n", str(MAX_N), "--f", f"x1^{MAX_EXPONENT}*z1")
+    assert code == 0 and out == f"x1^{MAX_EXPONENT}*z1 + {MAX_EXPONENT}*x1^{MAX_EXPONENT - 1}\n"
 
 
 def test_argparse_usage_error_exit_two(capsys):

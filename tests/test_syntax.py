@@ -10,6 +10,7 @@ from functools import reduce
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from staralg.poly import Poly
 from staralg.syntax import ParseError, format_poly, parse_poly, parse_weyl
@@ -164,6 +165,24 @@ def test_print_coefficient_one_elision():
 @given(polys())
 def test_round_trip_parse_print(p):
     assert parse_poly(format_poly(p), p.n) == p
+
+
+def wide_coefficients():
+    """Signed coefficients with large numerators and denominators, and the
+    unit magnitudes +-1, +-1/d whose printing elides or keeps the 1."""
+    units = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-1, 2)])
+    wide = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)
+    return st.one_of(units, wide.filter(lambda c: c != 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(coeffs=wide_coefficients))
+def test_round_trip_wide_coefficients(p):
+    text = format_poly(p)
+    assert parse_poly(text, p.n) == p
+    signs = [c > 0 for _, c in p.sorted_terms()]
+    assert text.startswith("-") == (not signs[0] if signs else False)
+    assert text.count(" - ") == signs[1:].count(False)
 
 
 @settings(max_examples=60, deadline=None)
