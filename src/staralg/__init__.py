@@ -36,7 +36,6 @@ from .laguerre import (
     identity_dk_check,
     integrate_weight,
     integrate_weight_xi,
-    laguerre,
     laguerre1,
     laguerre_from_star_at_one,
     laguerre_genfun,
@@ -104,7 +103,6 @@ __all__ = [
     "integrate_weight",
     "integrate_weight_xi",
     "interchange_check",
-    "laguerre",
     "laguerre1",
     "laguerre_from_star_at_one",
     "laguerre_genfun",

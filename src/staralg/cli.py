@@ -6,8 +6,9 @@ suite fails (or an experiment aborts on the degree cap), 2 on usage errors
 including malformed expressions.
 
 Resource limits, refused with exit 2 before anything is built: --n is at
-most MAX_N, and every exponent in expression text at most
-syntax.MAX_EXPONENT.
+most MAX_N, each size option at most its entry in SIZE_LIMITS, and every
+exponent in expression text at most syntax.MAX_EXPONENT.  Each limit bounds
+one option; the work still grows with --n and with the other options.
 
 Note: argument values starting with '-' (negative t, leading-minus
 polynomials) must be passed in --flag=value form.  --f/--g/--b/--input
@@ -48,6 +49,15 @@ from .weyl import (
 )
 
 MAX_N = 100  # largest --n accepted; every key of an n-variable term holds 2n exponents
+# Largest value accepted for each size option, far above what the tests and
+# the benchmark use; at n = 1 each one alone still finishes in seconds.
+SIZE_LIMITS = {
+    "degmax": 40,   # degree of the bases the check suites sweep
+    "mmax": 200,    # powers per experiment, Laguerre degree in recur and ode
+    "kmax": 100,    # largest Laguerre weight in ode and genfun
+    "order": 32,    # truncation order of the series in genfun and starexp
+    "count": 10_000,  # random probes in the oracles suite
+}
 DEFAULT_DEGMAX = 4
 DEFAULT_MMAX = 8
 DEFAULT_ORDER = 8
@@ -287,8 +297,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.n > MAX_N:
-            raise UsageError(f"--n {args.n} is above the limit {MAX_N}")
+        for name, limit in (("n", MAX_N), *SIZE_LIMITS.items()):
+            value = getattr(args, name, None)
+            if value is not None and value > limit:
+                raise UsageError(f"--{name} {value} is above the limit {limit}")
         dashes = [name for name in ("f", "g", "b", "input") if getattr(args, name, None) == "-"]
         if len(dashes) > 1:
             raise UsageError("stdin '-' may be used for at most one argument")

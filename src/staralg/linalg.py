@@ -1,5 +1,10 @@
 """Exact rational linear solving by sparse Gaussian elimination.
 
+This is the reference solver for the graded image system: the tests build
+p = sum_i (x_i - t dz_i) g_i as a linear system (``image_witness_by_solve``
+in tests/reference.py) and check the witnesses of ``mathieu``'s division
+against its solutions.  Nothing in the package itself calls ``solve``.
+
 Rows are dicts mapping column index to a nonzero Fraction.  Forward
 elimination processes columns in ascending order with partial pivoting by
 coefficient magnitude (ties broken by the lowest row index), so runs are

@@ -6,10 +6,10 @@ first-order operators x_i - t dz_i:
 * ``in_image_ev0``:     p belongs iff star_ev0(p) = 0 (the image equals the
                           star-ideal generated by the x variables, whose
                           star-Taylor constant coefficient this is);
-* ``in_image_linear``:  brute force: solve the finite exact linear system
-                          p = sum_i (x_i - t dz_i) g_i with each g_i bounded
-                          in total degree by deg(p) - 1, a bound that is
-                          sound because the flow map preserves degree.
+* ``in_image_linear``:  division: p = sum_i (x_i - t dz_i) g_i + r with r in
+                          Q[z], and p belongs iff r = 0, since no nonzero
+                          polynomial of Q[z] is a member; the g_i are a
+                          witness.  It calls neither phi nor star_ev0.
 
 A third oracle decides membership in the span of the non-constant Laguerre
 polynomials for a fixed weight k: by orthogonality that holds iff the plain
@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .deform import StarContext, phi, star_ev0
 from .laguerre import integrate_weight
 from .poly import (
@@ -38,7 +37,6 @@ from .poly import (
     Poly,
     TermKey,
     compositions,
-    grlex_key,
     iter_multiindices,
 )
 from .report import OutputRecord, Report
@@ -61,7 +59,7 @@ def in_image_ev0(ctx: StarContext, p: Poly) -> bool:
 
 
 def in_image_linear(ctx: StarContext, p: Poly, degree_bound: int | None = None) -> bool:
-    """Membership in Im(x - t dz) via an exact linear solve."""
+    """Membership in Im(x - t dz) by dividing p through the operators."""
     return image_linear_witness(ctx, p, degree_bound) is not None
 
 
@@ -69,81 +67,38 @@ def image_linear_witness(ctx: StarContext, p: Poly,
                          degree_bound: int | None = None) -> list[Poly] | None:
     """Find g_1..g_n with p = sum_i (x_i - t dz_i) g_i, or None.
 
-    Each g_i ranges over total degree <= degree_bound (default deg(p) - 1).
-    The operators raise the grading (x-degree minus z-degree) by exactly 1,
-    so the system splits by grade; each graded component is solved
-    independently, which keeps the matrices small.
+    Divides p by the operators from the top x-degree down.  A term
+    c x^a z^b with a != 0 whose first x variable is x_i goes to g_i by
+
+        x^a z^b = (x_i - t dz_i) x^(a-e_i) z^b + t b_i x^(a-e_i) z^(b-e_i),
+
+    and the second term is carried one x-degree down.  What is left lies in
+    Q[z], where the image is zero, so p is a member iff nothing is left.  The
+    witness is the unique one with each g_i free of x_1..x_(i-1), and every
+    term of it has total degree below the term it came from; it is refused
+    (None) if some g_i exceeds degree_bound (default deg(p) - 1).
     """
     ctx.check(p)
-    if p.is_zero():
-        return [Poly.zero(ctx.n) for _ in range(ctx.n)]
-    bound = p.degree().total - 1 if degree_bound is None else degree_bound
-    partials = []
-    for grade, component in sorted(_split_by_grade(p).items()):
-        partial = _solve_graded_component(ctx, component, grade, bound)
-        if partial is None:
-            return None
-        partials.append(partial)
-    return [Poly.sum(ctx.n, pieces) for pieces in zip(*partials)]
-
-
-def _split_by_grade(p: Poly) -> dict[int, Poly]:
-    buckets: dict[int, dict[TermKey, Fraction]] = {}
+    by_depth: dict[int, dict[TermKey, Fraction]] = {}
     for (xe, ze), c in p.terms.items():
-        buckets.setdefault(sum(xe) - sum(ze), {})[(xe, ze)] = c
-    return {g: Poly(p.n, t) for g, t in buckets.items()}
-
-
-def _solve_graded_component(ctx: StarContext, q: Poly, grade: int,
-                            bound: int) -> list[Poly] | None:
-    n = ctx.n
-    columns: list[tuple[int, TermKey]] = []
-    for total in range(bound + 1):
-        # the column's grade |xe| - |ze| is grade - 1 and |xe| + |ze| = total
-        x_total, odd = divmod(total + grade - 1, 2)
-        if odd or not 0 <= x_total <= total:
-            continue
-        for xe in compositions(n, x_total):
-            for ze in compositions(n, total - x_total):
-                for i in range(n):
-                    columns.append((i, (xe, ze)))
-    columns.sort(key=lambda col: (col[0], grlex_key(col[1])))
-
-    row_index: dict[TermKey, int] = {}
-
-    def row_of(key: TermKey) -> int:
-        if key not in row_index:
-            row_index[key] = len(row_index)
-        return row_index[key]
-
-    entries: list[list[tuple[int, Fraction]]] = []
-    for i, (xe, ze) in columns:
-        image: list[tuple[int, Fraction]] = []
-        lifted = xe[:i] + (xe[i] + 1,) + xe[i + 1:]
-        image.append((row_of((lifted, ze)), Fraction(1)))
-        if ctx.t != 0 and ze[i] > 0:
-            lowered = ze[:i] + (ze[i] - 1,) + ze[i + 1:]
-            image.append((row_of((xe, lowered)), -ctx.t * ze[i]))
-        entries.append(image)
-    for key in q.terms:
-        row_of(key)
-
-    nrows = len(row_index)
-    rows: list[linalg.SparseRow] = [{} for _ in range(nrows)]
-    for col, image in enumerate(entries):
-        for r, v in image:
-            rows[r][col] = rows[r].get(col, Fraction(0)) + v
-    rhs = [Fraction(0)] * nrows
-    for key, c in q.terms.items():
-        rhs[row_index[key]] = c
-
-    solution = linalg.solve(rows, rhs, len(columns))
-    if solution is None:
+        by_depth.setdefault(sum(xe), {})[xe, ze] = c
+    quotients: list[dict[TermKey, Fraction]] = [{} for _ in range(ctx.n)]
+    for depth in range(max(by_depth, default=0), 0, -1):
+        below = by_depth.setdefault(depth - 1, {})
+        for (xe, ze), c in by_depth.pop(depth, {}).items():
+            if not c:
+                continue  # cancelled by a carry
+            i = next(j for j, e in enumerate(xe) if e)
+            lowered = xe[:i] + (xe[i] - 1,) + xe[i + 1:]
+            quotients[i][lowered, ze] = c
+            if ctx.t and ze[i]:
+                key = (lowered, ze[:i] + (ze[i] - 1,) + ze[i + 1:])
+                below[key] = below.get(key, 0) + c * ctx.t * ze[i]
+    bound = p.degree().total - 1 if degree_bound is None else degree_bound
+    if any(by_depth.get(0, {}).values()) or any(
+            sum(xe) + sum(ze) > bound for q in quotients for xe, ze in q):
         return None
-    witness: list[dict[TermKey, Fraction]] = [{} for _ in range(n)]
-    for (i, key), coeff in zip(columns, solution):
-        witness[i][key] = coeff
-    return [Poly(n, terms) for terms in witness]
+    return [Poly(ctx.n, q) for q in quotients]
 
 
 def in_laguerre_span(p: Poly, k: MultiIndex) -> bool:

@@ -4,21 +4,26 @@ Each one computes by a different method from the code under test (iterated
 series instead of the closed form, the bidifferential double sum and
 iterated partials instead of flow coordinates, the Leibniz rule on each pair
 of operator terms instead of the symbol product, one Fraction per term
-product instead of integers over a common denominator), so a test never
-compares a fast path with itself.
+product instead of integers over a common denominator, an exact linear solve
+instead of division by the image operators), so a test never compares a fast
+path with itself.
 """
 
 from fractions import Fraction
 
+from staralg import linalg
 from staralg.deform import StarContext, StarTaylor, cross_laplacian, star_ev0
 from staralg.poly import (
     Poly,
+    compositions,
+    grlex_key,
     iter_multiindices,
     mi_add,
     mi_binomial,
     mi_factorial,
     mi_le,
     mi_sub,
+    mi_unit,
     mi_zero,
 )
 from staralg.weyl import WeylOp
@@ -139,3 +144,73 @@ def _by_derivative(op: WeylOp) -> dict:
     for (xe, ze), c in op.symbol.terms.items():
         grouped.setdefault(xe, {})[(mi_zero(op.n), ze)] = c
     return {xe: Poly(op.n, terms) for xe, terms in grouped.items()}
+
+
+def image_witness_by_solve(ctx: StarContext, p: Poly, degree_bound: int | None = None):
+    """g_1..g_n with p = sum_i (x_i - t dz_i) g_i, or None, by an exact solve.
+
+    The unknowns are the coefficients of each g_i up to total degree
+    degree_bound (default deg(p) - 1), as columns ordered by i, then grlex.
+    The operators raise the grade |x| - |z| by exactly 1, so the system
+    splits by grade and each graded component is solved on its own with
+    free variables at 0.
+    """
+    ctx.check(p)
+    if p.is_zero():
+        return [Poly.zero(ctx.n) for _ in range(ctx.n)]
+    bound = p.degree().total - 1 if degree_bound is None else degree_bound
+    by_grade = {}
+    for (xe, ze), c in p.terms.items():
+        by_grade.setdefault(sum(xe) - sum(ze), {})[xe, ze] = c
+    partials = []
+    for grade, terms in sorted(by_grade.items()):
+        partial = _solve_graded_component(ctx, terms, grade, bound)
+        if partial is None:
+            return None
+        partials.append(partial)
+    return [Poly.sum(ctx.n, pieces) for pieces in zip(*partials)]
+
+
+def _solve_graded_component(ctx: StarContext, q: dict, grade: int, bound: int):
+    n = ctx.n
+    columns = []
+    for total in range(bound + 1):
+        # the column's grade |xe| - |ze| is grade - 1 and |xe| + |ze| = total
+        x_total, odd = divmod(total + grade - 1, 2)
+        if odd or not 0 <= x_total <= total:
+            continue
+        for xe in compositions(n, x_total):
+            for ze in compositions(n, total - x_total):
+                for i in range(n):
+                    columns.append((i, (xe, ze)))
+    columns.sort(key=lambda col: (col[0], grlex_key(col[1])))
+
+    row_index = {}
+
+    def row_of(key):
+        return row_index.setdefault(key, len(row_index))
+
+    entries = []
+    for i, (xe, ze) in columns:
+        image = [(row_of((mi_add(xe, mi_unit(n, i + 1)), ze)), Fraction(1))]
+        if ctx.t != 0 and ze[i] > 0:
+            image.append((row_of((xe, mi_sub(ze, mi_unit(n, i + 1)))), -ctx.t * ze[i]))
+        entries.append(image)
+    for key in q:
+        row_of(key)
+
+    rows = [{} for _ in row_index]
+    for col, image in enumerate(entries):
+        for r, v in image:
+            rows[r][col] = rows[r].get(col, Fraction(0)) + v
+    rhs = [Fraction(0)] * len(row_index)
+    for key, c in q.items():
+        rhs[row_index[key]] = c
+
+    solution = linalg.solve(rows, rhs, len(columns))
+    if solution is None:
+        return None
+    witness = [{} for _ in range(n)]
+    for (i, key), coeff in zip(columns, solution):
+        witness[i][key] = coeff
+    return [Poly(n, terms) for terms in witness]

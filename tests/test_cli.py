@@ -1,6 +1,8 @@
 """CLI: output contracts, exit codes, determinism."""
 
-from staralg.cli import MAX_N, build_parser, main
+import pytest
+
+from staralg.cli import MAX_N, SIZE_LIMITS, build_parser, main
 from staralg.syntax import MAX_EXPONENT
 
 
@@ -190,6 +192,22 @@ def test_oversized_inputs_are_refused(capsys):
     assert f"exponent {huge} is above the limit {MAX_EXPONENT} (line 1, column 4)" in err
     code, out, _ = run_cli(capsys, "phi", "--n", str(MAX_N), "--f", f"x1^{MAX_EXPONENT}*z1")
     assert code == 0 and out == f"x1^{MAX_EXPONENT}*z1 + {MAX_EXPONENT}*x1^{MAX_EXPONENT - 1}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mathieu", "--oracle", "image", "--n", "1", "--f", "1", "--b", "z1", "--mmax"],
+    *(["check", "--suite", suite, "--n", "1", f"--{name}"] for suite, name in [
+        ("oracles", "count"), ("oracles", "degmax"), ("recur", "mmax"),
+        ("ode", "kmax"), ("genfun", "order")]),
+])
+def test_size_options_are_refused_above_their_limit(capsys, argv):
+    huge = 10 ** 12  # refused before any work, instead of running for hours
+    name = argv[-1][2:]
+    code, out, err = run_cli(capsys, *argv, str(huge))
+    assert code == 2 and not out
+    assert err == f"staralg: error: --{name} {huge} is above the limit {SIZE_LIMITS[name]}\n"
+    code, out, _ = run_cli(capsys, *argv, "1")
+    assert code == 0 and out
 
 
 def test_argparse_usage_error_exit_two(capsys):

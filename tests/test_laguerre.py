@@ -1,10 +1,14 @@
 """Laguerre polynomials: explicit sums, star construction, orthogonality, verifiers."""
 
-import importlib
+import inspect
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import staralg
+import staralg.laguerre as laguerre_module
 from staralg.cli import main
 from staralg.laguerre import (
     LaguerreSpec,
@@ -26,9 +30,11 @@ from staralg.laguerre import (
     star_exp_check,
     xi_orthogonality_check,
 )
-from staralg.deform import StarContext, star_monomial
-from staralg.poly import Poly, iter_multiindices, mi_factorial
+from staralg.deform import StarContext, star_ev0, star_monomial
+from staralg.poly import Poly, iter_multiindices, mi_add, mi_factorial, mi_zero
 from staralg.weyl import WeylOp
+
+from conftest import z_only_polys
 
 
 def z(n=1, i=1):
@@ -40,6 +46,11 @@ def xi(n=1, i=1):
 
 
 ONE = Poly.const(1, 1)
+
+
+def test_package_attribute_is_the_submodule():
+    assert inspect.ismodule(staralg.laguerre)
+    assert staralg.laguerre.laguerre is laguerre
 
 
 def test_laguerre1_values():
@@ -93,10 +104,8 @@ def test_laguerre_star_two_sides_agree():
 
 
 def test_failed_star_division_is_an_internal_fault(monkeypatch):
-    # staralg.laguerre, the package attribute, is the function; fetch the module
-    module = importlib.import_module("staralg.laguerre")
     # a wrong star product leaves a term that neither x^k nor z^k divides
-    monkeypatch.setattr(module, "star_monomial", lambda ctx, a, b: ONE)
+    monkeypatch.setattr(laguerre_module, "star_monomial", lambda ctx, a, b: ONE)
     for build in (laguerre_star, laguerre_star_zside):
         with pytest.raises(RuntimeError, match="not divisible"):
             build(LaguerreSpec((0,), (1,)))
@@ -146,6 +155,29 @@ def test_integrate_weight_values():
     # alpha = beta = (2,), k = (1,): (alpha+k)!/alpha! = 3!/2! = 3
     l21 = laguerre1(2, 1)
     assert integrate_weight(l21 * l21, (1,)) == 3
+
+
+BRIDGE_T = [Fraction(sign * v) for sign in (1, -1) for v in (1, 2, Fraction(1, 2))]
+
+
+@st.composite
+def bridge_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=2))
+    k = tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(n))
+    return draw(z_only_polys(n=n)), k  # F(u), with u spelled z
+
+
+@settings(max_examples=40, deadline=None)
+@given(bridge_cases(), st.sampled_from(BRIDGE_T))
+def test_laguerre_bridge(case, t):
+    # star_ev0(z^k F(x o z)) = z^k / k! * integral of F(t z) z^k e^(-sum z) over
+    # the orthant: star_ev0 checked against moments, a route it shares no code with
+    big_f, k = case
+    n, zero = big_f.n, mi_zero(big_f.n)
+    f = Poly(n, {(u, mi_add(u, k)): c for (_, u), c in big_f.terms.items()})
+    scaled = Poly(n, {(zero, u): c * t ** sum(u) for (_, u), c in big_f.terms.items()})
+    moment = integrate_weight(scaled, k) / mi_factorial(k)
+    assert star_ev0(StarContext(n, t), f) == Poly.monomial(n, zero, k, moment)
 
 
 def test_integrate_weight_rejects_xi():

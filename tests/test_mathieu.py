@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -22,11 +23,11 @@ from staralg.mathieu import (
     power_experiment,
     random_poly,
 )
-from staralg.poly import Poly
+from staralg.poly import Poly, compositions, iter_multiindices
 from staralg.syntax import parse_poly
 
 from conftest import polys, small_t
-from reference import power_experiment_loop
+from reference import image_witness_by_solve, power_experiment_loop
 
 ONE = Poly.const(1, 1)
 
@@ -118,6 +119,40 @@ def test_flow_transport(p, t):
     pulled = phi(StarContext(p.n, -t), p)
     zeros = [Fraction(0)] * p.n
     assert in_image_ev0(ctx, pulled) == p.evaluate(xi_point=zeros).is_zero()
+
+
+def checked_division_witness(ctx, p, degree_bound=None):
+    """The division's witness, checked against the graded solve, p itself
+    and its normal form (g_i free of x_1..x_(i-1))."""
+    gs = image_linear_witness(ctx, p, degree_bound)
+    assert gs == image_witness_by_solve(ctx, p, degree_bound)
+    if gs is not None:
+        assert apply_image_operator(ctx, gs) == p
+        for i, g in enumerate(gs):
+            assert not any(any(xe[:i]) for xe, _ in g.terms)
+    return gs
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_degree=3), small_t(), st.sampled_from([None, -2, 1]))
+def test_division_witness_matches_graded_solve(p, t, bound_shift):
+    ctx = StarContext(p.n, t)
+    member = p - star_ev0(ctx, p)  # star_ev0 kills the image and fixes Q[z]
+    assert checked_division_witness(ctx, member) is not None
+    for q in (p, member):
+        bound = None if bound_shift is None else q.degree().total + bound_shift
+        checked_division_witness(ctx, q, bound)
+
+
+def test_division_witness_on_monomials():
+    n = 3
+    for t in (Fraction(1), Fraction(-1, 2), Fraction(0)):
+        ctx = StarContext(n, t)
+        for total in range(4):
+            for xe in iter_multiindices(n, total):
+                for ze in compositions(n, total - sum(xe)):
+                    for bound in (None, total - 2, total + 1):
+                        checked_division_witness(ctx, Poly.monomial(n, xe, ze), bound)
 
 
 def test_oracle_equivalence_scan_report():
