@@ -7,8 +7,10 @@ including malformed expressions.
 
 Resource limits, refused with exit 2 before anything is built: --n is at
 most MAX_N, each size option at most its entry in SIZE_LIMITS, and every
-exponent in expression text at most syntax.MAX_EXPONENT.  Each limit bounds
-one option; the work still grows with --n and with the other options.
+exponent in expression text at most syntax.MAX_EXPONENT.  Those limits bound
+one option each; a check suite's record count, computed from --n and all of
+its bounds together, is at most RECORD_BUDGET.  The cost of one record still
+grows with the degrees and with --n.
 
 Note: argument values starting with '-' (negative t, leading-minus
 polynomials) must be passed in --flag=value form.  --f/--g/--b/--input
@@ -21,6 +23,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import mathieu
 from .deform import StarContext, star, star_taylor
@@ -57,7 +60,12 @@ SIZE_LIMITS = {
     "kmax": 100,    # largest Laguerre weight in ode and genfun
     "order": 32,    # truncation order of the series in genfun and starexp
     "count": 10_000,  # random probes in the oracles suite
+    "degree_cap": 50,  # degree of the largest power or product in mathieu
 }
+# Largest number of records one check run may print, computed from --n and
+# the suite's bounds before any work: the sizes above bound each option
+# alone, while a suite's basis grows with n and its bounds together.
+RECORD_BUDGET = 12_000
 DEFAULT_DEGMAX = 4
 DEFAULT_MMAX = 8
 DEFAULT_ORDER = 8
@@ -235,8 +243,7 @@ def _run_suite(args) -> Report:
     if args.suite == "ode":
         return ode_check(args.mmax, args.kmax)
     if args.suite == "genfun":
-        reports = [generating_check(kk, args.order) for kk in range(args.kmax + 1)]
-        return Report([r for rep in reports for r in rep.records], all(r.ok for r in reports))
+        return generating_check(args.kmax, args.order)
     if args.suite == "starexp":
         return star_exp_check(k, args.order)
     if args.suite == "even":
@@ -248,7 +255,32 @@ def _run_suite(args) -> Report:
         random_count=args.count, seed=args.seed)
 
 
+def _multiindices(n: int, degmax: int) -> int:
+    """How many multi-indices of length n have total degree at most degmax."""
+    return comb(degmax + n, n) if degmax >= 0 and n >= 0 else 0
+
+
+def _suite_records(args) -> int:
+    """The number of records the check suite prints for these arguments."""
+    n = args.n
+    mmax, kmax, order = (max(v + 1, 0) for v in (args.mmax, args.kmax, args.order))  # 0..v
+    return {
+        "ortho": _multiindices(n, args.degmax) ** 2,
+        "even": _multiindices(n, args.degmax) ** 2,
+        "interchange": 2 * _multiindices(2 * n, args.degmax),
+        "oracles": _multiindices(2 * n, args.degmax) + max(args.count, 0),
+        "starexp": max(n, 0) * order + (_multiindices(n, args.order) if n > 1 else 0),
+        "genfun": kmax * order,
+        "ode": mmax * kmax,
+        "recur": 2 * max(args.mmax, 0),
+    }[args.suite]
+
+
 def _cmd_check(args) -> int:
+    records = _suite_records(args)
+    if records > RECORD_BUDGET:
+        raise UsageError(f"--suite {args.suite} at these sizes prints {records} records, "
+                         f"above the budget {RECORD_BUDGET}")
     report = _run_suite(args)
     for record in report.records:
         print(record.line())
@@ -300,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, limit in (("n", MAX_N), *SIZE_LIMITS.items()):
             value = getattr(args, name, None)
             if value is not None and value > limit:
-                raise UsageError(f"--{name} {value} is above the limit {limit}")
+                raise UsageError(f"--{name.replace('_', '-')} {value} is above the limit {limit}")
         dashes = [name for name in ("f", "g", "b", "input") if getattr(args, name, None) == "-"]
         if len(dashes) > 1:
             raise UsageError("stdin '-' may be used for at most one argument")

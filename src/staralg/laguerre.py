@@ -10,9 +10,12 @@ polynomials arise from the star product at parameter 1:
     L_a^[k](x z) = (-1)^|a| / a! * x^(-k) (x^(a+k) star z^a),
 
 where the monomial division is always exact; evaluating at x = (1,..,1)
-recovers L_a^[k](z).  Orthogonality over the positive orthant against the
+recovers L_a^[k](z).  The generating series exp(-z u/(1-u)) / (1-u)^(k+1)
+is built with one exp for every k at once: each further weight is one more
+division by (1 - u).  Orthogonality over the positive orthant against the
 weight z^k exp(-sum z_i) is integrated termwise through factorial moments,
-never by quadrature, so every identity here is checked with zero tolerance.
+in integers over one common denominator, never by quadrature, so every
+identity here is checked with zero tolerance.
 
 The check_* style functions return a Report of machine-readable records;
 the small boolean verifiers return plain bools.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Sequence
 
 from .deform import StarContext, star_monomial
@@ -134,14 +137,18 @@ def laguerre_from_star_at_one(spec: LaguerreSpec) -> Poly:
 def laguerre_genfun(spec: LaguerreSpec) -> Poly:
     """The generating-function route: per coordinate, the coefficient of
     u^alpha_i in exp(-z u/(1-u)) / (1-u)^(k_i+1); coordinates multiply."""
-    return _coordinatewise([_genfun_series(k, order, Poly.z_var(1, 1)).coeffs[order]
-                            for order, k in zip(spec.alpha, spec.k)])
+    series = _genfun_series(max(spec.k), max(spec.alpha), Poly.z_var(1, 1))
+    return _coordinatewise([series[k].coeffs[a] for a, k in zip(spec.alpha, spec.k)])
 
 
-def _genfun_series(k: int, order: int, letter: Poly) -> USeries:
-    """exp(-letter * u/(1-u)) / (1-u)^(k+1), truncated at the given order."""
+def _genfun_series(kmax: int, order: int, letter: Poly) -> list[USeries]:
+    """exp(-letter * u/(1-u)) / (1-u)^(k+1) for k = 0..kmax, truncated at the
+    given order: one exp, then one division by (1 - u) per weight."""
     tail = USeries.geometric_tail(order, letter.n)
-    return tail.scale_poly(-letter).exp() * USeries.inv_one_minus_u_pow(k + 1, order, letter.n)
+    series = [tail.scale_poly(-letter).exp().over_one_minus_u()]
+    for _ in range(kmax):
+        series.append(series[-1].over_one_minus_u())
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +168,15 @@ def integrate_weight(p: Poly, k: MultiIndex) -> Fraction:
         raise ValueError("integrand must lie in Q[z]")
     if len(k) != p.n:
         raise ValueError(f"weight index length {len(k)} != dimension {p.n}")
-    total = Fraction(0)
+    # integer numerators over the common denominator of the coefficients
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    total = 0
     for (_, ze), c in p.terms.items():
-        m = 1
+        w = c.numerator * (d // c.denominator)
         for e, kk in zip(ze, k):
-            m *= gamma_moment(e + kk)
-        total += c * m
-    return total
+            w *= gamma_moment(e + kk)
+        total += w
+    return Fraction(total, d)
 
 
 def integrate_weight_xi(p: Poly, xi_point: Sequence[Scalar]) -> Fraction:
@@ -197,16 +206,16 @@ def _fmt_mi(a: MultiIndex) -> str:
     return ",".join(map(str, a))
 
 
-def generating_check(k: int, order: int) -> Report:
-    """Coefficient m of the generating series equals L_m^[k] for 0 <= m <= order."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    series = _genfun_series(k, order, Poly.z_var(1, 1))
+def generating_check(kmax: int, order: int) -> Report:
+    """Coefficient m of the generating series for weight k equals L_m^[k],
+    for 0 <= k <= kmax and 0 <= m <= order; records run k-major."""
+    if kmax < 0 or order < 0:
+        raise ValueError(f"kmax and order must be >= 0, got kmax={kmax}, order={order}")
     report = Report()
-    for m in range(order + 1):
-        got = series.coeffs[m]
-        report.add("genfun", (("k", str(k)), ("m", str(m))), got == laguerre1(m, k),
-                   format_poly(got))
+    for k, series in enumerate(_genfun_series(kmax, order, Poly.z_var(1, 1))):
+        for m, got in enumerate(series.coeffs):
+            report.add("genfun", (("k", str(k)), ("m", str(m))), got == laguerre1(m, k),
+                       format_poly(got))
     return report
 
 
@@ -254,18 +263,16 @@ def star_exp_check(k: MultiIndex, order: int) -> Report:
     k = tuple(k)
     n = len(k)
     report = Report()
-    xz = Poly.xi_var(1, 1) * Poly.z_var(1, 1)
-    for i in range(1, n + 1):
-        series = _genfun_series(k[i - 1], order, xz)
-        for m in range(order + 1):
-            got = series.coeffs[m]
-            want = laguerre_star(LaguerreSpec((m,), (k[i - 1],)))
+    series = _genfun_series(max(k, default=0), order, Poly.xi_var(1, 1) * Poly.z_var(1, 1))
+    one_var = {}  # (m, k_i) -> the one-variable star construction
+    for i, kk in enumerate(k, start=1):
+        for m, got in enumerate(series[kk].coeffs):
+            one_var[m, kk] = want = laguerre_star(LaguerreSpec((m,), (kk,)))
             report.add("starexp", (("k", _fmt_mi(k)), ("coordinate", str(i)), ("m", str(m))),
                        got == want, format_poly(got))
     if n > 1:
         for alpha in iter_multiindices(n, order):
-            product = _coordinatewise([laguerre_star(LaguerreSpec((a,), (kk,)))
-                                       for a, kk in zip(alpha, k)])
+            product = _coordinatewise([one_var[a, kk] for a, kk in zip(alpha, k)])
             report.add("starexp", (("k", _fmt_mi(k)), ("coordinate", "all"), ("m", _fmt_mi(alpha))),
                        product == laguerre_star(LaguerreSpec(alpha, k)), format_poly(product))
     return report

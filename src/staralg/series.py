@@ -4,13 +4,16 @@ A series of order N stores exactly N + 1 coefficients (indices 0..N); all
 arithmetic truncates at order N, and the truncation order is an explicit
 argument everywhere.  Coefficients are Poly values sharing one dimension n,
 so the same machinery serves series over Q[z] and over Q[x, z].
+
+``exp`` uses the recurrence m E_m = sum_{j=1..m} j S_j E_(m-j) for E = exp(S),
+which follows from E' = S' E: O(N^2) coefficient products at order N.
+Dividing by (1 - u) is a running sum of the coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .poly import Poly, Scalar
 
@@ -46,14 +49,6 @@ class USeries:
         """u / (1 - u) truncated: coefficient 1 at every positive order."""
         return cls(order, (Poly.zero(n),) + tuple(Poly.const(n, 1) for _ in range(order)))
 
-    @classmethod
-    def inv_one_minus_u_pow(cls, k_plus_1: int, order: int, n: int) -> "USeries":
-        """(1 - u)^(-k_plus_1) truncated; coefficient of u^m is C(m + k, k)."""
-        if k_plus_1 < 1:
-            raise ValueError(f"exponent must be >= 1, got {k_plus_1}")
-        k = k_plus_1 - 1
-        return cls(order, tuple(Poly.const(n, comb(m + k, k)) for m in range(order + 1)))
-
     # -- arithmetic ----------------------------------------------------------
 
     def _require_same_order(self, other: "USeries") -> None:
@@ -82,16 +77,26 @@ class USeries:
         f = Fraction(c)
         return USeries(self.order, tuple(co * f for co in self.coeffs))
 
+    def over_one_minus_u(self) -> "USeries":
+        """The series divided by (1 - u): coefficient m is the sum of 0..m."""
+        sums = [self.coeffs[0]]
+        for c in self.coeffs[1:]:
+            sums.append(sums[-1] + c)
+        return USeries(self.order, tuple(sums))
+
     def exp(self) -> "USeries":
-        """exp of a series with zero constant term, by Horner-style truncated
-        evaluation of 1 + s(1 + s/2(1 + ... (1 + s/N))).
+        """exp of a series S with zero constant term, truncated at the order.
+
+        E = exp(S) satisfies E' = S' E, so E_0 = 1 and, for m >= 1,
+        m E_m = sum_{j=1..m} j S_j E_(m-j).
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("exp requires a zero constant term")
-        if self.order == 0:
-            return USeries.constant(0, self.n, 1)
-        one = USeries.constant(self.order, self.n, 1)
-        acc = one
-        for j in range(self.order, 0, -1):
-            acc = one + (self * acc).scale(Fraction(1, j))
-        return acc
+        n = self.n
+        weighted = [c * j for j, c in enumerate(self.coeffs)]  # j S_j
+        out = [Poly.const(n, 1)]
+        for m in range(1, self.order + 1):
+            pieces = (weighted[j] * out[m - j] for j in range(1, m + 1)
+                      if not weighted[j].is_zero())
+            out.append(Poly.sum(n, pieces) * Fraction(1, m))
+        return USeries(self.order, tuple(out))

@@ -62,14 +62,14 @@ def xi_only_polys(draw, n=None, max_degree=3, max_terms=4):
 
 
 @st.composite
-def z_only_polys(draw, n=None, max_degree=3, max_terms=4):
+def z_only_polys(draw, n=None, max_degree=3, max_terms=4, coeffs=coefficients):
     if n is None:
         n = draw(st.integers(min_value=1, max_value=2))
     n_terms = draw(st.integers(min_value=0, max_value=max_terms))
     terms = {}
     for _ in range(n_terms):
         ze = draw(exponents(n, max_degree))
-        terms[((0,) * n, ze)] = draw(coefficients())
+        terms[((0,) * n, ze)] = draw(coeffs())
     return Poly(n, terms)
 
 

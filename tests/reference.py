@@ -5,11 +5,13 @@ series instead of the closed form, the bidifferential double sum and
 iterated partials instead of flow coordinates, the Leibniz rule on each pair
 of operator terms instead of the symbol product, one Fraction per term
 product instead of integers over a common denominator, an exact linear solve
-instead of division by the image operators), so a test never compares a fast
-path with itself.
+instead of division by the image operators, Horner's rule instead of the exp
+recurrence, a binomial closed form instead of repeated division by 1 - u), so
+a test never compares a fast path with itself.
 """
 
 from fractions import Fraction
+from math import comb
 
 from staralg import linalg
 from staralg.deform import StarContext, StarTaylor, cross_laplacian, star_ev0
@@ -26,6 +28,8 @@ from staralg.poly import (
     mi_unit,
     mi_zero,
 )
+from staralg.laguerre import gamma_moment
+from staralg.series import USeries
 from staralg.weyl import WeylOp
 
 
@@ -37,6 +41,35 @@ def mul_by_fractions(f: Poly, g: Poly) -> Poly:
             k = (mi_add(xa, xb), mi_add(za, zb))
             out[k] = out.get(k, Fraction(0)) + ca * cb
     return Poly(f.n, out)
+
+
+def integrate_weight_by_fractions(p: Poly, k) -> Fraction:
+    """integrate_weight accumulating one Fraction per term."""
+    total = Fraction(0)
+    for (_, ze), c in p.terms.items():
+        m = 1
+        for e, kk in zip(ze, k):
+            m *= gamma_moment(e + kk)
+        total += c * m
+    return total
+
+
+def exp_by_horner(s: USeries) -> USeries:
+    """exp of a series with zero constant term by Horner's rule,
+    1 + s(1 + s/2(1 + ... (1 + s/N))), one series product per step."""
+    one = USeries.constant(s.order, s.n, 1)
+    acc = one
+    for j in range(s.order, 0, -1):
+        acc = one + (s * acc).scale(Fraction(1, j))
+    return acc
+
+
+def inv_one_minus_u_pow(k_plus_1: int, order: int, n: int) -> USeries:
+    """(1 - u)^(-k_plus_1) truncated; coefficient of u^m is C(m + k, k)."""
+    if k_plus_1 < 1:
+        raise ValueError(f"exponent must be >= 1, got {k_plus_1}")
+    k = k_plus_1 - 1
+    return USeries(order, tuple(Poly.const(n, comb(m + k, k)) for m in range(order + 1)))
 
 
 def star_ev0_by_fractions(ctx: StarContext, f: Poly) -> Poly:

@@ -1,8 +1,18 @@
 """CLI: output contracts, exit codes, determinism."""
 
+from math import comb
+
 import pytest
 
-from staralg.cli import MAX_N, SIZE_LIMITS, build_parser, main
+from staralg.cli import (
+    MAX_N,
+    RECORD_BUDGET,
+    SIZE_LIMITS,
+    SUITES,
+    _suite_records,
+    build_parser,
+    main,
+)
 from staralg.syntax import MAX_EXPONENT
 
 
@@ -199,15 +209,67 @@ def test_oversized_inputs_are_refused(capsys):
     *(["check", "--suite", suite, "--n", "1", f"--{name}"] for suite, name in [
         ("oracles", "count"), ("oracles", "degmax"), ("recur", "mmax"),
         ("ode", "kmax"), ("genfun", "order")]),
+    ["mathieu", "--oracle", "image", "--n", "1", "--f", "1", "--b", "z1", "--degree-cap"],
 ])
 def test_size_options_are_refused_above_their_limit(capsys, argv):
     huge = 10 ** 12  # refused before any work, instead of running for hours
     name = argv[-1][2:]
     code, out, err = run_cli(capsys, *argv, str(huge))
     assert code == 2 and not out
-    assert err == f"staralg: error: --{name} {huge} is above the limit {SIZE_LIMITS[name]}\n"
+    limit = SIZE_LIMITS[name.replace("-", "_")]
+    assert err == f"staralg: error: --{name} {huge} is above the limit {limit}\n"
     code, out, _ = run_cli(capsys, *argv, "1")
     assert code == 0 and out
+
+
+def test_record_budget_refuses_before_the_suite_runs(capsys, monkeypatch):
+    def entered(*args):
+        raise AssertionError("the suite ran")
+
+    for name in ("orthogonality_check", "interchange_check", "star_exp_check"):
+        monkeypatch.setattr(f"staralg.cli.{name}", entered)
+    monkeypatch.setattr("staralg.cli.mathieu.oracle_equivalence_scan", entered)
+    for argv, records in (
+            (["--suite", "oracles", "--n", "3", "--degmax", "40"], comb(46, 6) + 20),
+            (["--suite", "starexp", "--n", "100", "--order", "32"], 100 * 33 + comb(132, 32)),
+            (["--suite", "ortho", "--n", "2", "--degmax", "40"], comb(42, 2) ** 2),
+            (["--suite", "interchange", "--n", "3", "--degmax", "12"], 2 * comb(18, 6))):
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert code == 2 and not out
+        assert err == (f"staralg: error: --suite {argv[1]} at these sizes prints {records} "
+                       f"records, above the budget {RECORD_BUDGET}\n")
+
+
+def test_record_budget_admits_benchmark_bounds_and_defaults():
+    # every suite at its defaults; then, per suite, the largest bounds of the
+    # benchmark's check_suites pass (perfbench/gen.py), genfun as CI runs it,
+    # and single options at their limits
+    for suite in SUITES:
+        for n in (1, 2, 3):
+            args = build_parser().parse_args(["check", "--suite", suite, "--n", str(n)])
+            assert _suite_records(args) <= RECORD_BUDGET
+    for argv in (["--suite", "interchange", "--n", "3", "--degmax", "5"],
+                 ["--suite", "oracles", "--n", "3", "--degmax", "5", "--count", "40"],
+                 ["--suite", "ortho", "--n", "2", "--degmax", "5"],
+                 ["--suite", "even", "--n", "2", "--degmax", "5"],
+                 ["--suite", "ode", "--mmax", "12", "--kmax", "6"],
+                 ["--suite", "recur", "--mmax", "16"],
+                 ["--suite", "starexp", "--n", "3", "--order", "6"],
+                 ["--suite", "genfun", "--kmax", "100", "--order", "32"],
+                 ["--suite", "oracles", "--count", "10000"],
+                 ["--suite", "ortho", "--degmax", "40"]):
+        args = build_parser().parse_args(["check", *argv])
+        assert _suite_records(args) <= RECORD_BUDGET
+
+
+def test_record_counts_match_the_suites(capsys):
+    for suite in SUITES:
+        for n in (1, 2, 3):
+            argv = ["check", "--suite", suite, "--n", str(n), "--degmax", "2", "--mmax", "3",
+                    "--kmax", "2", "--order", "3", "--count", "4"]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert len(out.splitlines()) == _suite_records(build_parser().parse_args(argv))
 
 
 def test_argparse_usage_error_exit_two(capsys):

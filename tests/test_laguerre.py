@@ -32,9 +32,11 @@ from staralg.laguerre import (
 )
 from staralg.deform import StarContext, star_ev0, star_monomial
 from staralg.poly import Poly, iter_multiindices, mi_add, mi_factorial, mi_zero
+from staralg.series import USeries
 from staralg.weyl import WeylOp
 
-from conftest import z_only_polys
+from conftest import mixed_coefficients, z_only_polys
+from reference import integrate_weight_by_fractions, inv_one_minus_u_pow
 
 
 def z(n=1, i=1):
@@ -180,9 +182,26 @@ def test_laguerre_bridge(case, t):
     assert star_ev0(StarContext(n, t), f) == Poly.monomial(n, zero, k, moment)
 
 
+@st.composite
+def weighted_integrands(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    k = tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(n))
+    return draw(z_only_polys(n=n, max_degree=4, max_terms=6, coeffs=mixed_coefficients)), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_integrands())
+def test_integrate_weight_matches_fraction_reference(case):
+    p, k = case
+    got = integrate_weight(p, k)
+    assert type(got) is Fraction and got == integrate_weight_by_fractions(p, k)
+
+
 def test_integrate_weight_rejects_xi():
     with pytest.raises(ValueError):
         integrate_weight(xi(), (0,))
+    with pytest.raises(ValueError):
+        integrate_weight(z(), (0, 0))
 
 
 def test_integrate_weight_xi_values():
@@ -228,8 +247,39 @@ def test_generating_check():
     assert generating_check(0, 0).ok
     report = generating_check(0, 6)
     assert report.ok and len(report.records) == 7
-    assert generating_check(1, 5).ok
-    assert generating_check(3, 8).ok
+    for kmax, order in ((1, 5), (3, 8)):
+        report = generating_check(kmax, order)
+        assert report.ok
+        assert [r.params for r in report.records] == [
+            (("k", str(k)), ("m", str(m))) for k in range(kmax + 1) for m in range(order + 1)]
+    for kmax, order in ((-1, 3), (0, -1)):
+        with pytest.raises(ValueError):
+            generating_check(kmax, order)
+
+
+def test_genfun_series_matches_binomial_product():
+    # the k-th series divides by (1 - u) k + 1 times; the reference multiplies
+    # once by (1 - u)^(-(k+1)), whose coefficients are binomials
+    for letter in (z(), xi() * z()):
+        exp_part = USeries.geometric_tail(7, 1).scale_poly(-letter).exp()
+        series = laguerre_module._genfun_series(4, 7, letter)
+        assert len(series) == 5
+        for k, got in enumerate(series):
+            assert got == exp_part * inv_one_minus_u_pow(k + 1, 7, 1)
+
+
+def test_genfun_suite_takes_one_exp(monkeypatch, capsys):
+    calls = []
+    exp = USeries.exp
+
+    def counted(self):
+        calls.append(self.order)
+        return exp(self)
+
+    monkeypatch.setattr(USeries, "exp", counted)
+    assert main(["check", "--suite", "genfun", "--kmax", "5", "--order", "10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6 * 11
+    assert calls == [10]
 
 
 def test_identity_dk_check():

@@ -3,10 +3,15 @@
 from fractions import Fraction
 from math import comb, factorial
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from staralg.poly import Poly
 from staralg.series import USeries
+
+from conftest import mixed_coefficients, polys
+from reference import exp_by_horner, inv_one_minus_u_pow
 
 
 def test_constant_and_geometric():
@@ -32,7 +37,7 @@ def test_order_mismatch_rejected():
 
 
 def test_inv_one_minus_u_pow():
-    s = USeries.inv_one_minus_u_pow(3, 5, 1)  # (1-u)^-3
+    s = inv_one_minus_u_pow(3, 5, 1)  # (1-u)^-3
     for m in range(6):
         assert s.coeffs[m] == Poly.const(1, comb(m + 2, 2))
 
@@ -63,3 +68,28 @@ def test_exp_of_geometric_tail():
     for m in range(1, order + 1):
         want = sum(Fraction(comb(m - 1, j - 1), factorial(j)) for j in range(1, m + 1))
         assert got.coeffs[m] == Poly.const(1, want)
+
+
+@st.composite
+def zero_constant_series(draw):
+    n = draw(st.integers(min_value=1, max_value=2))
+    order = draw(st.integers(min_value=0, max_value=10))
+    tail = draw(st.lists(polys(n=n, max_degree=2, max_terms=3, coeffs=mixed_coefficients),
+                         min_size=order, max_size=order))
+    return USeries(order, (Poly.zero(n), *tail))
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_constant_series())
+def test_exp_matches_horner_reference(s):
+    assert s.exp() == exp_by_horner(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_constant_series(), st.integers(min_value=1, max_value=3))
+def test_over_one_minus_u_matches_product(s, k):
+    # dividing k times by (1 - u) is multiplying by (1 - u)^(-k)
+    got = s
+    for _ in range(k):
+        got = got.over_one_minus_u()
+    assert got == s * inv_one_minus_u_pow(k, s.order, s.n)
