@@ -61,7 +61,7 @@ from .mathieu import (
     power_experiment,
 )
 from .poly import Degree, MultiIndex, Poly
-from .report import OutputRecord, Report
+from .report import InternalFault, OutputRecord, Report
 from .syntax import ParseError, format_poly, parse_poly, parse_weyl
 from .weyl import (
     WeylOp,
@@ -76,6 +76,7 @@ __all__ = [
     "Degree",
     "DegreeCapExceeded",
     "ExperimentReport",
+    "InternalFault",
     "LaguerreSpec",
     "MembershipOracle",
     "MultiIndex",

@@ -3,7 +3,7 @@
 Every subcommand prints deterministic output: identical argv yields
 byte-identical bytes on stdout.  Exit codes: 0 on success, 1 when a check
 suite fails (or an experiment aborts on the degree cap), 2 on usage errors
-including malformed expressions.
+including malformed expressions, 3 on internal faults, 141 on a closed stdout.
 
 Resource limits, refused with exit 2 before anything is built: --n is at
 most MAX_N, each size option at most its entry in SIZE_LIMITS, and every
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from math import comb
@@ -41,7 +42,7 @@ from .laguerre import (
     star_exp_check,
 )
 from .poly import MultiIndex, grlex_key, mi_zero
-from .report import Report
+from .report import InternalFault, Report
 from .syntax import ParseError, format_poly, parse_poly, parse_weyl
 from .weyl import (
     from_left_symbol,
@@ -342,6 +343,14 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ParseError, ValueError) as exc:
         print(f"staralg: error: {exc}", file=sys.stderr)
         return 2
+    except InternalFault as exc:
+        print(f"staralg: internal error: {exc}", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        # the reader is gone: flush the rest to devnull, exit 128 + SIGPIPE
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

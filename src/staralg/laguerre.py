@@ -37,7 +37,7 @@ from .poly import (
     mi_add,
     mi_factorial,
 )
-from .report import Report
+from .report import InternalFault, Report
 from .series import USeries
 from .syntax import format_poly
 
@@ -118,14 +118,14 @@ def _star_built(spec: LaguerreSpec, xi_exp: MultiIndex, z_exp: MultiIndex,
                 divide: Callable[[Poly, MultiIndex], Poly]) -> Poly:
     """(-1)^|alpha| / alpha! * (x^xi_exp star z^z_exp) at parameter 1, divided
     by the monomial of exponent k.  The division is exact by the theory, so
-    a failure is an internal fault (RuntimeError), never a usage error."""
+    a failure is an InternalFault, never a usage error."""
     raw = star_monomial(StarContext(spec.n, Fraction(1)), xi_exp, z_exp)
     scaled = raw * Fraction((-1) ** sum(spec.alpha), mi_factorial(spec.alpha))
     try:
         return divide(scaled, spec.k)
     except ValueError as exc:
-        raise RuntimeError(f"star-built Laguerre polynomial for alpha={spec.alpha}, "
-                           f"k={spec.k}: {exc}") from exc
+        raise InternalFault(f"star-built Laguerre polynomial for alpha={spec.alpha}, "
+                            f"k={spec.k}: {exc}") from exc
 
 
 def laguerre_from_star_at_one(spec: LaguerreSpec) -> Poly:

@@ -18,8 +18,9 @@ weight integral of p vanishes.
 The power-experiment harness computes star (or ordinary) powers f^m for
 m = 1..mmax, records membership of each power and of b*f^m, and reports the
 first stable tail index if one appears in range.  Star powers are computed
-in flow coordinates, where phi_t turns star_t into the ordinary product;
-the oracles and the printed payloads see them in the original coordinates.
+in flow coordinates, where phi_t turns star_t into the ordinary product and
+x_i - t dz_i into x_i, so the image into the ideal (x): image_ev0 reads its
+verdicts there, the other oracles and the payloads in original coordinates.
 All output is evidence at a truncated range, never a proof of anything.
 """
 
@@ -39,7 +40,7 @@ from .poly import (
     compositions,
     iter_multiindices,
 )
-from .report import OutputRecord, Report
+from .report import InternalFault, OutputRecord, Report
 from .syntax import format_poly
 
 DEFAULT_DEGREE_CAP = 40
@@ -49,7 +50,7 @@ class DegreeCapExceeded(RuntimeError):
     """An intermediate power exceeded the configured total-degree cap."""
 
 
-class OracleDisagreement(RuntimeError):
+class OracleDisagreement(InternalFault):
     """A membership verdict contradicts the closed form: an internal fault."""
 
 
@@ -180,7 +181,9 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
     power_kind "star" pairs with the image oracles (powers and the b-product
     taken with star_t); "ordinary" pairs with the Laguerre-span oracle.
     Powers and products are ordinary products in flow coordinates (phi_t;
-    the identity for ordinary powers), mapped back by phi_{-t} for the oracle.
+    the identity for ordinary powers).  image_ev0 reads its verdicts there,
+    as star_ev0(phi_{-t} F) = F at x = 0; only the payload, and the other
+    oracles, get them mapped back by phi_{-t}.
     Raises DegreeCapExceeded, before building it, if an intermediate power or
     product would outgrow degree_cap, and OracleDisagreement if an
     image-oracle verdict contradicts the closed form.
@@ -222,7 +225,10 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
         _check_degree_cap(f"b*f^{m}", deg_product, degree_cap)
         flow_product = flow_b * flow_power
         product = phi(back, flow_product)
-        verdicts = (oracle.contains(phi(back, flow_power)), oracle.contains(product))
+        if oracle.kind == "image_ev0":
+            verdicts = (_x_divisible(flow_power), _x_divisible(flow_product))
+        else:
+            verdicts = (oracle.contains(phi(back, flow_power)), oracle.contains(product))
         if power_kind == "star" and verdicts != closed_form:
             raise OracleDisagreement(f"oracle {oracle.kind} at m={m} gives (power, product) "
                                      f"membership {verdicts}, star_ev0 gives {closed_form}")
@@ -238,6 +244,11 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
         power_member=tuple(power_member), product_member=tuple(product_member),
         products=tuple(products), first_stable_n=first_stable,
     )
+
+
+def _x_divisible(p: Poly) -> bool:
+    """Whether every term of p has an x: p is in (x), the image in flow coordinates."""
+    return all(any(xe) for xe, _ in p.terms)
 
 
 def _check_degree_cap(name: str, degree: int, degree_cap: int) -> None:

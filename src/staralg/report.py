@@ -14,6 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+class InternalFault(RuntimeError):
+    """A result contradicts the theory or a second route: a bug, not bad input."""
+
+
 @dataclass(frozen=True)
 class OutputRecord:
     kind: str

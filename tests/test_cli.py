@@ -1,8 +1,14 @@
 """CLI: output contracts, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
+
+import staralg
 
 from staralg.cli import (
     MAX_N,
@@ -310,3 +316,16 @@ def test_cli_determinism(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_closed_stdout_exits_quietly():
+    # the suite prints about 170 KiB, more than a pipe holds, so a write fails
+    env = {**os.environ, "PYTHONPATH": str(Path(staralg.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "staralg", "check", "--suite", "oracles", "--n", "2",
+         "--degmax", "12"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"kind=oracles\t")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -105,15 +105,18 @@ def test_laguerre_star_two_sides_agree():
                 assert laguerre_star(spec) == laguerre_star_zside(spec)
 
 
-def test_failed_star_division_is_an_internal_fault(monkeypatch):
+def test_failed_star_division_is_an_internal_fault(monkeypatch, capsys):
     # a wrong star product leaves a term that neither x^k nor z^k divides
     monkeypatch.setattr(laguerre_module, "star_monomial", lambda ctx, a, b: ONE)
     for build in (laguerre_star, laguerre_star_zside):
-        with pytest.raises(RuntimeError, match="not divisible"):
+        with pytest.raises(staralg.InternalFault, match="not divisible"):
             build(LaguerreSpec((0,), (1,)))
-    # not a usage error: the CLI does not turn it into exit 2
-    with pytest.raises(RuntimeError, match="not divisible"):
-        main(["laguerre", "--n", "1", "--alpha", "0", "--k", "1", "--via", "star"])
+    # not a usage error: the CLI exits 3, never 2
+    code = main(["laguerre", "--n", "1", "--alpha", "0", "--k", "1", "--via", "star"])
+    err = capsys.readouterr().err
+    assert code == 3 and code != 2
+    assert err.startswith("staralg: internal error: star-built Laguerre polynomial")
+    assert "not divisible" in err
 
 
 def test_laguerre_star_substitutes_xz():

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import staralg.mathieu as mathieu_module
 from staralg.cli import main
 from staralg.deform import StarContext, phi, star_ev0
 from staralg.laguerre import laguerre1
@@ -242,23 +243,86 @@ def test_power_experiment_matches_generic_star(kind, f, b, n, mmax):
     assert (report.power_member, report.product_member, report.products) == expected
 
 
-def test_power_experiment_rejects_a_lying_oracle(monkeypatch):
-    real = MembershipOracle.contains
-    calls = []
+def lying_once(monkeypatch, owner, name):
+    """Replace owner.name by a verdict that is negated on its first call only;
+    returns the list of calls, which the caller may clear to lie again."""
+    real, calls = getattr(owner, name), []
 
-    def lie_once(self, p):
-        calls.append(p)
-        return real(self, p) != (len(calls) == 1)
+    def lie_once(*args):
+        calls.append(args)
+        return real(*args) != (len(calls) == 1)
 
-    monkeypatch.setattr(MembershipOracle, "contains", lie_once)
-    oracle = MembershipOracle("image_ev0", t=Fraction(1))
+    monkeypatch.setattr(owner, name, lie_once)
+    return calls
+
+
+def test_power_experiment_rejects_a_lying_oracle(monkeypatch, capsys):
+    # image_ev0 reads its verdicts in flow coordinates, image_linear asks
+    # MembershipOracle.contains; each lies once, about the power at m = 1
+    calls = lying_once(monkeypatch, mathieu_module, "_x_divisible")
     with pytest.raises(OracleDisagreement, match="m=1"):
-        power_experiment(oracle, xi() * z(), z(), 3, "star")
+        power_experiment(MembershipOracle("image_ev0", t=Fraction(1)), xi() * z(), z(), 3, "star")
     calls.clear()
-    # an internal fault, not a usage error: the CLI does not turn it into exit 2
-    with pytest.raises(OracleDisagreement):
-        main(["mathieu", "--oracle", "image", "--n", "1", "--t", "1", "--f", "x1*z1",
-              "--b", "z1", "--mmax", "3"])
+    # an internal fault, not a usage error: exit 3, never exit 2
+    code = main(["mathieu", "--oracle", "image", "--n", "1", "--t", "1", "--f", "x1*z1",
+                 "--b", "z1", "--mmax", "3"])
+    err = capsys.readouterr().err
+    assert code == 3 and code != 2
+    assert err.startswith("staralg: internal error: oracle image_ev0 at m=1 ")
+    monkeypatch.undo()
+    lying_once(monkeypatch, MembershipOracle, "contains")
+    with pytest.raises(OracleDisagreement, match="m=1"):
+        power_experiment(MembershipOracle("image_linear", t=Fraction(1)), xi() * z(), z(), 3,
+                         "star")
+
+
+@st.composite
+def experiment_inputs(draw):
+    """n, f, b, t and mmax for a star power experiment; f and b are each
+    projected into the image or not, so every pair of verdicts occurs."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    t = draw(small_t())
+    ctx = StarContext(n, t)
+    f, b = (draw(polys(n=n, max_degree=2, max_terms=4)) for _ in range(2))
+    if draw(st.booleans()):
+        f = f - star_ev0(ctx, f)  # star_ev0 kills the image and fixes Q[z]
+    if draw(st.booleans()):
+        b = b - star_ev0(ctx, b)
+    return f, b, t, draw(st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(experiment_inputs())
+def test_flow_verdicts_match_division(inputs):
+    f, b, t, mmax = inputs
+    via_flow = power_experiment(MembershipOracle("image_ev0", t=t), f, b, mmax, "star")
+    via_division = power_experiment(MembershipOracle("image_linear", t=t), f, b, mmax, "star")
+    for field in ("power_member", "product_member", "products"):
+        assert getattr(via_flow, field) == getattr(via_division, field)
+
+
+@pytest.mark.parametrize("f", ["x1*z1+x1", "x1^2*z1-2*x1"])
+@pytest.mark.parametrize("mmax", [1, 5])
+def test_flow_verdicts_map_only_the_product_back(monkeypatch, f, mmax):
+    counts = {"phi": 0, "star_ev0": 0}
+
+    def counting(name):
+        real = getattr(mathieu_module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mathieu_module, name, counted)
+
+    counting("phi")
+    counting("star_ev0")
+    power_experiment(MembershipOracle("image_ev0", t=Fraction(1)), parse_poly(f, 1), z() ** 2,
+                     mmax, "star")
+    # phi_t of f and of b, then phi_{-t} of each product; star_ev0 only in the
+    # closed form of f and b
+    assert counts["phi"] == 2 + mmax
+    assert counts["star_ev0"] <= 2
 
 
 def test_power_experiment_determinism():
