@@ -6,11 +6,12 @@ suite fails (or an experiment aborts on the degree cap), 2 on usage errors
 including malformed expressions, 3 on internal faults, 141 on a closed stdout.
 
 Resource limits, refused with exit 2 before anything is built: --n is at
-most MAX_N, each size option at most its entry in SIZE_LIMITS, and every
-exponent in expression text at most syntax.MAX_EXPONENT.  Those limits bound
-one option each; a check suite's record count, computed from --n and all of
-its bounds together, is at most RECORD_BUDGET.  The cost of one record still
-grows with the degrees and with --n.
+most MAX_N, each size option at most its entry in SIZE_LIMITS, every
+exponent in expression text at most syntax.MAX_EXPONENT, and its parentheses
+nested at most syntax.MAX_NESTING deep.  Those limits bound one option
+each; a check suite's record count, computed from --n and all of its bounds
+together, is at most RECORD_BUDGET.  The cost of one record still grows with
+the degrees and with --n.
 
 Note: argument values starting with '-' (negative t, leading-minus
 polynomials) must be passed in --flag=value form.  --f/--g/--b/--input
@@ -339,7 +340,9 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("stdin '-' may be used for at most one argument")
         for name in dashes:
             setattr(args, name, sys.stdin.read())
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # here, not at interpreter exit, so a closed pipe still exits 141
+        return code
     except (UsageError, ParseError, ValueError) as exc:
         print(f"staralg: error: {exc}", file=sys.stderr)
         return 2

@@ -253,17 +253,13 @@ class Poly:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._require_same_n(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Poly(self.n, out)
+        return Poly.sum(self.n, (self, other))
 
     def __neg__(self) -> "Poly":
         return Poly._canonical(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return Poly.sum(self.n, (self, -other))
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):

@@ -6,24 +6,30 @@ in z_i.  Grammar, loosest to tightest binding:
 
     sum      :=  product (('+' | '-') product)*
     product  :=  unary ('*' unary)*
-    unary    :=  '-' unary | power
+    unary    :=  '-'* power
     power    :=  atom ('^' INT)?          -- exponent: non-negative integer
     atom     :=  INT ('/' INT)? | VAR | '(' sum ')'
 
-Implicit multiplication by juxtaposition is not allowed, whitespace is
-insignificant, and '/' is permitted only inside a rational literal a/b.
-An exponent above MAX_EXPONENT is refused before the power is built.
+INT is a run of the ASCII digits 0-9; any other character outside the
+grammar's letters, operators and whitespace is refused.  Implicit
+multiplication by juxtaposition is not allowed, whitespace is insignificant,
+and '/' is permitted only inside a rational literal a/b.  An exponent above
+MAX_EXPONENT is refused before the power is built, and a '(' that opens a
+level of nesting above MAX_NESTING is refused before the parser recurses
+into it.
 
 In operator expressions, '*' means composition left to right, so
 "z1^2*d1^3" is (multiply by z1^2) composed with (differentiate thrice),
 not a product of symbols.
 
-The parser builds values as it reads, a Poly in mode 'poly' and a WeylOp
-in mode 'weyl'; no syntax tree is kept.  A sum collects its summands
-(negating the subtracted ones) and adds them in one pass, so long sums cost
-linear, not quadratic, time.  The whole text is tokenized first, so a
-lexical error is reported before any arithmetic; a grammar error is
-reported only after the valid prefix before it has been evaluated.
+The parser builds values as it reads; no syntax tree is kept.  In both modes
+the value is a Poly: in mode 'weyl' it is the right symbol of the operator,
+with d_i read as x_i, and only '*' and '^' differ from mode 'poly'.  A sum
+collects its summands (negating the subtracted ones) and adds them in one
+pass, so long sums cost linear, not quadratic, time.  The whole text is
+tokenized first, so a lexical error is reported before any arithmetic; a
+grammar error is reported only after the valid prefix before it has been
+evaluated.
 
 Printing is canonical: terms in descending graded-lex order on the
 concatenated exponent, rational coefficients as a/b, exponent 1 elided,
@@ -32,15 +38,16 @@ coefficient 1 elided except on the constant term.  parse(print(p)) == p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .poly import Poly
 from .weyl import WeylOp
 
 
 MAX_EXPONENT = 1000  # largest exponent in expression text; the default degree cap is 40
+MAX_NESTING = 100  # deepest parenthesis nesting in expression text; bounds the recursion
 
 
 class ParseError(ValueError):
@@ -56,8 +63,7 @@ class ParseError(ValueError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # INT, VAR, OP, END
     text: str
     value: object
@@ -65,53 +71,36 @@ class _Token:
     column: int
 
 
-def _describe(tok: "_Token") -> str:
+# one alternative per lexeme: integer, variable letter with its index digits,
+# operator, newline, other whitespace, and any other character
+_LEXEME = re.compile(r"([0-9]+)|([xzdD])([0-9]*)|([-+*^/()])|(\n)|[ \t\r]+|(.)", re.DOTALL)
+
+
+def _describe(tok: _Token) -> str:
     return repr(tok.text) if tok.text else "end of input"
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "xzdD":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError(f"variable '{ch}' needs a 1-based index, e.g. {ch}1",
-                                 line, start_col)
-            kind = "d" if ch in "dD" else ch
-            tokens.append(_Token("VAR", text[i:j], (kind, int(text[i + 1:j])), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^/()":
-            tokens.append(_Token("OP", ch, ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("END", "", None, line, col))
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(text):
+        digits, letter, index, op, newline, other = match.groups()
+        column = match.start() - line_start + 1
+        if digits:
+            tokens.append(_Token("INT", digits, int(digits), line, column))
+        elif letter:
+            if not index:
+                raise ParseError(f"variable '{letter}' needs a 1-based index, e.g. {letter}1",
+                                 line, column)
+            kind = "d" if letter in "dD" else letter
+            tokens.append(_Token("VAR", match[0], (kind, int(index)), line, column))
+        elif op:
+            tokens.append(_Token("OP", op, None, line, column))
+        elif newline:
+            line, line_start = line + 1, match.end()
+        elif other:
+            raise ParseError(f"unexpected character {other!r}", line, column)
+    tokens.append(_Token("END", "", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -120,35 +109,21 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 class _Mode(NamedTuple):
-    """What a parse builds: the admitted variable letters and one builder
-    per production.  The builders look their callees up when they run."""
+    """What a parse admits: the variable letters, the name used in error
+    messages, and what '*' and '^' mean on Poly values.  mul and pow look
+    their callees up when they run, not at import."""
 
     kinds: tuple[str, ...]
     where: str
-    const: Callable[[int, Fraction], Any]
-    var: Callable[[int, str, int], Any]
-    sum: Callable[[int, list], Any]
-    mul: Callable[[Any, Any], Any]
-    pow: Callable[[Any, int], Any]
+    mul: Callable[[Poly, Poly], Poly]
+    pow: Callable[[Poly, int], Poly]
 
 
-_POLY = _Mode(
-    ("x", "z"), "polynomial",
-    const=lambda n, c: Poly.const(n, c),
-    var=lambda n, kind, i: Poly.xi_var(n, i) if kind == "x" else Poly.z_var(n, i),
-    sum=lambda n, terms: Poly.sum(n, terms),
-    mul=lambda a, b: a * b,
-    pow=lambda a, e: a ** e,
-)
+_POLY = _Mode(("x", "z"), "polynomial", mul=lambda a, b: a * b, pow=lambda a, e: a ** e)
 
-_WEYL = _Mode(
-    ("z", "d"), "operator",
-    const=lambda n, c: WeylOp(Poly.const(n, c)),
-    var=lambda n, kind, i: WeylOp(Poly.xi_var(n, i) if kind == "d" else Poly.z_var(n, i)),
-    sum=lambda n, terms: WeylOp(Poly.sum(n, (op.symbol for op in terms))),
-    mul=lambda a, b: a.compose(b),
-    pow=lambda a, e: a.compose_pow(e),
-)
+_WEYL = _Mode(("z", "d"), "operator",
+              mul=lambda a, b: WeylOp(a).compose(WeylOp(b)).symbol,
+              pow=lambda a, e: WeylOp(a).compose_pow(e).symbol)
 
 
 class _Parser:
@@ -157,6 +132,7 @@ class _Parser:
             raise ValueError(f"dimension must be >= 1, got {n}")
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.n = n
         self.mode = mode
 
@@ -168,88 +144,76 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.value != op:
+    def expect_op(self, op: str) -> None:
+        tok = self.advance()
+        if tok.text != op:
             raise ParseError(f"expected {op!r}, found {_describe(tok)}", tok.line, tok.column)
-        return self.advance()
 
-    def parse(self):
+    def parse(self) -> Poly:
         value = self.sum()
         tok = self.peek()
         if tok.kind != "END":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
         return value
 
-    def sum(self):
+    def sum(self) -> Poly:
         terms = [self.product()]
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value in "+-":
-                self.advance()
-                term = self.product()
-                terms.append(-term if tok.value == "-" else term)
-            elif len(terms) == 1:
-                return terms[0]
-            else:
-                return self.mode.sum(self.n, terms)
+        while self.peek().text in ("+", "-"):
+            sign = self.advance().text
+            term = self.product()
+            terms.append(-term if sign == "-" else term)
+        return terms[0] if len(terms) == 1 else Poly.sum(self.n, terms)
 
-    def product(self):
+    def product(self) -> Poly:
         left = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value == "*":
-                self.advance()
-                left = self.mode.mul(left, self.unary())
-            elif tok.kind == "OP" and tok.value == "/":
-                raise ParseError("'/' is only allowed inside a rational literal a/b",
-                                 tok.line, tok.column)
-            else:
-                return left
-
-    def unary(self):
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value == "-":
+        while self.peek().text == "*":
             self.advance()
-            return -self.unary()
-        return self.power()
+            left = self.mode.mul(left, self.unary())
+        tok = self.peek()
+        if tok.text == "/":
+            raise ParseError("'/' is only allowed inside a rational literal a/b",
+                             tok.line, tok.column)
+        return left
 
-    def power(self):
+    def unary(self) -> Poly:
+        negate = False
+        while self.peek().text == "-":  # a loop, so a long run of signs cannot recurse
+            self.advance()
+            negate = not negate
+        value = self.power()
+        return -value if negate else value
+
+    def power(self) -> Poly:
         base = self.atom()
+        if self.peek().text != "^":
+            return base
+        self.advance()
         tok = self.peek()
-        if tok.kind == "OP" and tok.value == "^":
-            self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind == "OP" and exp_tok.value == "-":
-                raise ParseError("negative exponent", exp_tok.line, exp_tok.column)
-            if exp_tok.kind != "INT":
-                raise ParseError(f"expected a non-negative integer exponent, found "
-                                 f"{_describe(exp_tok)}", exp_tok.line, exp_tok.column)
-            if exp_tok.value > MAX_EXPONENT:
-                raise ParseError(f"exponent {exp_tok.value} is above the limit {MAX_EXPONENT}",
-                                 exp_tok.line, exp_tok.column)
-            self.advance()
-            return self.mode.pow(base, exp_tok.value)
-        return base
+        if tok.text == "-":
+            raise ParseError("negative exponent", tok.line, tok.column)
+        if tok.kind != "INT":
+            raise ParseError(f"expected a non-negative integer exponent, found "
+                             f"{_describe(tok)}", tok.line, tok.column)
+        if tok.value > MAX_EXPONENT:
+            raise ParseError(f"exponent {tok.value} is above the limit {MAX_EXPONENT}",
+                             tok.line, tok.column)
+        self.advance()
+        return self.mode.pow(base, tok.value)
 
-    def atom(self):
-        tok = self.peek()
+    def atom(self) -> Poly:
+        tok = self.advance()
         if tok.kind == "INT":
+            if self.peek().text != "/":
+                return Poly.const(self.n, tok.value)
             self.advance()
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.value == "/":
-                self.advance()
-                den = self.peek()
-                if den.kind != "INT":
-                    raise ParseError("'/' is only allowed inside a rational literal a/b",
-                                     den.line, den.column)
-                self.advance()
-                if den.value == 0:
-                    raise ParseError("zero denominator", den.line, den.column)
-                return self.mode.const(self.n, Fraction(tok.value, den.value))
-            return self.mode.const(self.n, Fraction(tok.value))
+            den = self.advance()
+            if den.kind != "INT":
+                raise ParseError("'/' is only allowed inside a rational literal a/b",
+                                 den.line, den.column)
+            if den.value == 0:
+                raise ParseError("zero denominator", den.line, den.column)
+            return Poly.const(self.n, Fraction(tok.value, den.value))
         if tok.kind == "VAR":
-            self.advance()
             kind, index = tok.value
             if kind not in self.mode.kinds:
                 raise ParseError(f"variable {tok.text!r} is not allowed in "
@@ -257,13 +221,17 @@ class _Parser:
             if not 1 <= index <= self.n:
                 raise ParseError(f"variable index {index} out of range 1..{self.n}",
                                  tok.line, tok.column)
-            return self.mode.var(self.n, kind, index)
-        if tok.kind == "OP" and tok.value == "(":
-            self.advance()
+            return Poly.z_var(self.n, index) if kind == "z" else Poly.xi_var(self.n, index)
+        if tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"nesting depth {MAX_NESTING + 1} is above the limit "
+                                 f"{MAX_NESTING}", tok.line, tok.column)
+            self.depth += 1
             inner = self.sum()
             self.expect_op(")")
+            self.depth -= 1
             return inner
-        if tok.kind == "OP" and tok.value == "/":
+        if tok.text == "/":
             raise ParseError("'/' is only allowed inside a rational literal a/b",
                              tok.line, tok.column)
         raise ParseError(f"unexpected {_describe(tok)}", tok.line, tok.column)
@@ -272,7 +240,9 @@ class _Parser:
 def parse_expr(text: str, n: int, mode: str = "poly") -> Poly | WeylOp:
     """Parse text to its value: mode 'poly' admits x/z variables and builds a
     Poly, 'weyl' admits z/d and builds a WeylOp."""
-    return _Parser(text, n, _POLY if mode == "poly" else _WEYL).parse()
+    if mode == "poly":
+        return _Parser(text, n, _POLY).parse()
+    return WeylOp(_Parser(text, n, _WEYL).parse())
 
 
 def parse_poly(text: str, n: int) -> Poly:

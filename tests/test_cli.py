@@ -19,7 +19,7 @@ from staralg.cli import (
     build_parser,
     main,
 )
-from staralg.syntax import MAX_EXPONENT
+from staralg.syntax import MAX_EXPONENT, MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -329,3 +329,40 @@ def test_closed_stdout_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("text", ["x\u0661 + 1", "\u0663*z1", "x\u00b2"],
+                         ids=["arabic-indic-index", "arabic-indic-integer", "superscript-index"])
+def test_non_ascii_digits_are_usage_errors(capsys, text):
+    code, out, err = run_cli(capsys, "phi", "--n", "1", "--f", text)
+    assert code == 2 and not out
+    assert err.startswith("staralg: error: ") and err.endswith("(line 1, column 1)\n")
+
+
+@pytest.mark.parametrize("text, want_code, want", [
+    ("(" * 10000 + "x1" + ")" * 10000, 2,
+     f"nesting depth {MAX_NESTING + 1} is above the limit {MAX_NESTING} "
+     f"(line 1, column {MAX_NESTING + 1})"),
+    ("-" * 10000, 2, "unexpected end of input (line 1, column 10001)"),
+    ("-" * 10001 + "x1", 0, "-x1"),
+], ids=["parentheses", "signs-alone", "signs-before-x1"])
+def test_deep_input_does_not_recurse(capsys, text, want_code, want):
+    code, out, err = run_cli(capsys, "phi", "--n", "1", f"--f={text}")
+    assert code == want_code
+    assert (out, err) == ((want + "\n", "") if code == 0 else ("", f"staralg: error: {want}\n"))
+
+
+def test_closed_stdout_exits_quietly_when_the_output_is_buffered():
+    # the output fits in the stdout buffer, so the write that fails is the
+    # final flush, not a print inside a handler
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(staralg.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "staralg", "phi", "--n", "1", "--f", "x1"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

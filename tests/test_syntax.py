@@ -13,7 +13,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from staralg.poly import Poly
-from staralg.syntax import ParseError, format_poly, parse_poly, parse_weyl
+from staralg.syntax import MAX_NESTING, ParseError, format_poly, parse_poly, parse_weyl
 from staralg.weyl import WeylOp, right_symbol
 
 from conftest import polys
@@ -80,6 +80,33 @@ def test_parse_errors_carry_position():
         parse_poly("1/0", 1)
     with pytest.raises(ParseError, match="unexpected character"):
         parse_poly("x1 & z1", 1)
+
+
+@pytest.mark.parametrize("text, column", [("x١ + 1", 1), ("٣*z1", 1), ("x²", 1),
+                                          ("z1 + ٣", 6)],
+                         ids=["arabic-indic-index", "arabic-indic-integer", "superscript-index",
+                              "arabic-indic-after-sum"])
+def test_parse_refuses_non_ascii_digits(text, column):
+    # str.isdigit accepts Arabic-Indic and superscript digits; the grammar does not
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, 1)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_parse_nesting_is_bounded():
+    deepest = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse_poly(deepest, 1) == xi()
+    assert parse_poly(" + ".join([deepest] * 3), 1) == 3 * xi()  # siblings do not add up
+    assert parse_weyl(deepest.replace("x", "d"), 1) == WeylOp(xi())
+    with pytest.raises(ParseError, match=f"nesting depth {MAX_NESTING + 1} is above the "
+                                         f"limit {MAX_NESTING}") as err:
+        parse_poly(f"z1 + ({deepest})", 1)
+    assert (err.value.line, err.value.column) == (1, 6 + MAX_NESTING)
+
+
+def test_parse_long_sign_runs_without_recursion():
+    assert parse_poly("-" * 10001 + "x1", 1) == -xi()
+    assert parse_poly("2*" + "-" * 10000 + "z1", 1) == 2 * z()
 
 
 def test_parse_weyl_examples():

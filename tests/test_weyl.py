@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from staralg import weyl
+from staralg.cli import main
 from staralg.deform import StarContext, phi, star
 from staralg.poly import Poly, iter_multiindices
 from staralg.weyl import (
@@ -130,6 +132,16 @@ def test_interchange_check_report():
     report = interchange_check(1, 4)
     assert report.ok
     assert all(r.verdict == "pass" for r in report.records)
+
+
+def test_interchange_suite_checks_the_sign_of_t(monkeypatch, capsys):
+    # with phi_{-1} computed as phi_{+1}, only the r2l records can notice
+    monkeypatch.setattr(weyl, "phi", lambda ctx, p: phi(StarContext(ctx.n, abs(ctx.t)), p))
+    assert main(["check", "--suite", "interchange", "--n", "2"]) == 1
+    verdicts = {(line.split("\t")[3], line.split("\t")[4])
+                for line in capsys.readouterr().out.splitlines()}
+    assert verdicts == {("dir=l2r", "verdict=pass"), ("dir=r2l", "verdict=pass"),
+                        ("dir=r2l", "verdict=fail")}
 
 
 @settings(max_examples=30, deadline=None)
