@@ -60,9 +60,9 @@ from .mathieu import (
     oracle_equivalence_scan,
     power_experiment,
 )
-from .poly import Degree, MultiIndex, Poly
+from .poly import Degree, MultiIndex, Poly, format_poly
 from .report import InternalFault, OutputRecord, Report
-from .syntax import ParseError, format_poly, parse_poly, parse_weyl
+from .syntax import ParseError, parse_poly, parse_weyl
 from .weyl import (
     WeylOp,
     from_left_symbol,

@@ -42,9 +42,9 @@ from .laguerre import (
     recurrence_check,
     star_exp_check,
 )
-from .poly import MultiIndex, grlex_key, mi_zero
+from .poly import MultiIndex, format_poly, grlex_key, mi_zero
 from .report import InternalFault, Report
-from .syntax import ParseError, format_poly, parse_poly, parse_weyl
+from .syntax import ParseError, parse_poly, parse_weyl
 from .weyl import (
     from_left_symbol,
     from_right_symbol,
@@ -325,12 +325,12 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse has printed the help or a usage error
+            sys.stdout.flush()  # a closed pipe raises here, inside the outer try
+            return exc.code if isinstance(exc.code, int) else 2
         for name, limit in (("n", MAX_N), *SIZE_LIMITS.items()):
             value = getattr(args, name, None)
             if value is not None and value > limit:

@@ -39,7 +39,6 @@ from .poly import (
 )
 from .report import InternalFault, Report
 from .series import USeries
-from .syntax import format_poly
 
 
 @dataclass(frozen=True)
@@ -202,10 +201,6 @@ def integrate_weight_xi(p: Poly, xi_point: Sequence[Scalar]) -> Fraction:
 # Identity verifiers
 # ---------------------------------------------------------------------------
 
-def _fmt_mi(a: MultiIndex) -> str:
-    return ",".join(map(str, a))
-
-
 def generating_check(kmax: int, order: int) -> Report:
     """Coefficient m of the generating series for weight k equals L_m^[k],
     for 0 <= k <= kmax and 0 <= m <= order; records run k-major."""
@@ -214,8 +209,7 @@ def generating_check(kmax: int, order: int) -> Report:
     report = Report()
     for k, series in enumerate(_genfun_series(kmax, order, Poly.z_var(1, 1))):
         for m, got in enumerate(series.coeffs):
-            report.add("genfun", (("k", str(k)), ("m", str(m))), got == laguerre1(m, k),
-                       format_poly(got))
+            report.add("genfun", got == laguerre1(m, k), got, k=k, m=m)
     return report
 
 
@@ -236,7 +230,7 @@ def recurrence_check(mmax: int) -> Report:
         three_term = ladder[m + 1] * (m + 1) == (Poly.const(1, 2 * m + 1) - z) * ladder[m] - ladder[m - 1] * m
         derivative = z * ladder[m].d_z(1) == (ladder[m] - ladder[m - 1]) * m
         for name, passed in (("three_term", three_term), ("derivative", derivative)):
-            report.add("recur", (("m", str(m)), ("relation", name)), passed)
+            report.add("recur", passed, m=m, relation=name)
     return report
 
 
@@ -248,8 +242,7 @@ def ode_check(mmax: int, kmax: int) -> Report:
         for k in range(kmax + 1):
             f = laguerre1(m, k)
             residual = z * f.d_z(1).d_z(1) + (Poly.const(1, k + 1) - z) * f.d_z(1) + f * m
-            report.add("ode", (("m", str(m)), ("k", str(k))), residual.is_zero(),
-                       format_poly(residual))
+            report.add("ode", residual.is_zero(), residual, m=m, k=k)
     return report
 
 
@@ -268,13 +261,12 @@ def star_exp_check(k: MultiIndex, order: int) -> Report:
     for i, kk in enumerate(k, start=1):
         for m, got in enumerate(series[kk].coeffs):
             one_var[m, kk] = want = laguerre_star(LaguerreSpec((m,), (kk,)))
-            report.add("starexp", (("k", _fmt_mi(k)), ("coordinate", str(i)), ("m", str(m))),
-                       got == want, format_poly(got))
+            report.add("starexp", got == want, got, k=k, coordinate=i, m=m)
     if n > 1:
         for alpha in iter_multiindices(n, order):
             product = _coordinatewise([one_var[a, kk] for a, kk in zip(alpha, k)])
-            report.add("starexp", (("k", _fmt_mi(k)), ("coordinate", "all"), ("m", _fmt_mi(alpha))),
-                       product == laguerre_star(LaguerreSpec(alpha, k)), format_poly(product))
+            report.add("starexp", product == laguerre_star(LaguerreSpec(alpha, k)), product,
+                       k=k, coordinate="all", m=alpha)
     return report
 
 
@@ -296,8 +288,7 @@ def even_identity_report(n: int, degmax: int) -> Report:
     report = Report()
     for alpha in iter_multiindices(n, degmax):
         for beta in iter_multiindices(n, degmax):
-            report.add("even", (("alpha", _fmt_mi(alpha)), ("beta", _fmt_mi(beta))),
-                       even_identity_check(alpha, beta))
+            report.add("even", even_identity_check(alpha, beta), alpha=alpha, beta=beta)
     return report
 
 
@@ -313,15 +304,14 @@ def orthogonality_check(n: int, k: MultiIndex, degmax: int) -> Report:
         for b in basis:
             got = integrate_weight(polys[a] * polys[b], k)
             want = Fraction(mi_factorial(mi_add(a, k)), mi_factorial(a)) if a == b else Fraction(0)
-            report.add("ortho", (("alpha", _fmt_mi(a)), ("beta", _fmt_mi(b)), ("k", _fmt_mi(k))),
-                       got == want, str(got))
+            report.add("ortho", got == want, got, alpha=a, beta=b, k=k)
     return report
 
 
 def xi_orthogonality_check(xi_point: Sequence[Scalar], degmax: int) -> Report:
     """At a fixed positive rational xi, the polynomials x^a star z^a evaluated
     there stay orthogonal with squared norm (a!)^2."""
-    point = [Fraction(v) for v in xi_point]
+    point = tuple(Fraction(v) for v in xi_point)
     n = len(point)
     ctx = StarContext(n, Fraction(1))
     basis = list(iter_multiindices(n, degmax))
@@ -334,6 +324,5 @@ def xi_orthogonality_check(xi_point: Sequence[Scalar], degmax: int) -> Report:
         for b in basis:
             got = integrate_weight_xi(evaluated[a] * evaluated[b], point)
             want = Fraction(mi_factorial(a)) ** 2 if a == b else Fraction(0)
-            report.add("ortho_xi", (("alpha", _fmt_mi(a)), ("beta", _fmt_mi(b)),
-                                    ("xi", _fmt_mi(point))), got == want, str(got))
+            report.add("ortho_xi", got == want, got, alpha=a, beta=b, xi=point)
     return report

@@ -41,7 +41,6 @@ from .poly import (
     iter_multiindices,
 )
 from .report import InternalFault, OutputRecord, Report
-from .syntax import format_poly
 
 DEFAULT_DEGREE_CAP = 40
 
@@ -157,20 +156,16 @@ class ExperimentReport:
     first_stable_n: int | None
 
     def records(self) -> list[OutputRecord]:
-        out = []
-        if self.oracle.kind == "laguerre_span":
-            param = ("k", ",".join(map(str, self.oracle.k)))
-        else:
-            param = ("t", str(self.oracle.t))
-        for m in range(1, self.mmax + 1):
-            out.append(OutputRecord(
-                kind="mathieu",
-                params=(("oracle", self.oracle.kind), param, ("m", str(m)),
-                        ("power", "member" if self.power_member[m - 1] else "nonmember")),
-                verdict="member" if self.product_member[m - 1] else "nonmember",
-                payload=format_poly(self.products[m - 1]),
-            ))
-        return out
+        oracle = self.oracle
+        param = {"k": oracle.k} if oracle.kind == "laguerre_span" else {"t": oracle.t}
+        return [OutputRecord.of("mathieu", _membership(product_in), product, oracle=oracle.kind,
+                                **param, m=m, power=_membership(power_in))
+                for m, (power_in, product_in, product) in enumerate(
+                    zip(self.power_member, self.product_member, self.products), start=1)]
+
+
+def _membership(member: bool) -> str:
+    return "member" if member else "nonmember"
 
 
 def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
@@ -287,10 +282,8 @@ def oracle_equivalence_scan(t: Fraction, n: int, degmax: int,
     def probe(p: Poly, source: str) -> None:
         via_ev0 = in_image_ev0(ctx, p)
         via_linear = in_image_linear(ctx, p)
-        report.add("oracles", (("t", str(ctx.t)), ("source", source),
-                               ("ev0", "member" if via_ev0 else "nonmember"),
-                               ("linear", "member" if via_linear else "nonmember")),
-                   via_ev0 == via_linear, format_poly(p))
+        report.add("oracles", via_ev0 == via_linear, p, t=ctx.t, source=source,
+                   ev0=_membership(via_ev0), linear=_membership(via_linear))
 
     for total in range(degmax + 1):
         for xe in iter_multiindices(n, total):

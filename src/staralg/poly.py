@@ -19,6 +19,10 @@ through ``Poly(n, terms)``, which validates and prunes it.
 Variable indices in the public API are 1-based, matching the surface syntax
 x1..xn / z1..zn.  Mixing polynomials of different dimension n is a hard
 error, never a coercion.
+
+``format_poly`` prints the canonical text: terms in descending graded-lex
+order, coefficients as a/b, exponent 1 and coefficient 1 (except on the
+constant term) elided; parse_poly(format_poly(p), p.n) == p.
 """
 
 from __future__ import annotations
@@ -388,3 +392,23 @@ class Poly:
     def __repr__(self) -> str:
         items = ", ".join(f"x^{xe} z^{ze}: {c}" for (xe, ze), c in self.sorted_terms())
         return f"Poly(n={self.n}, {{{items}}})"
+
+
+def format_poly(p: Poly) -> str:
+    """Canonical text form; round-trips through parse_poly exactly."""
+    if p.is_zero():
+        return "0"
+    names = [f"{letter}{i}" for letter in "xz" for i in range(1, p.n + 1)]
+    pieces = []
+    for (xe, ze), coeff in p.sorted_terms():
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, xe + ze) if e]
+        num, den = coeff.numerator, coeff.denominator
+        magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if magnitude != "1" or not factors:
+            factors.insert(0, magnitude)
+        term = "*".join(factors)
+        if not pieces:
+            pieces.append(term if num > 0 else f"-{term}")
+        else:
+            pieces.append(f"{' + ' if num > 0 else ' - '}{term}")
+    return "".join(pieces)

@@ -5,17 +5,28 @@ of tab-separated key=value fields in a fixed order:
 
     kind=<kind>  <param>=<value> ...  verdict=<verdict>  payload=<text>
 
-Lines are deterministic for identical inputs, so logs are diffable and
-stream-processable.
+Producers pass raw values and ``OutputRecord.of`` renders each one by a
+single rule: a Poly prints canonically (``format_poly``), a tuple is
+comma-joined, anything else goes through ``str``.  Parameters keep keyword
+order.  Lines are deterministic for identical inputs, so logs are diffable
+and stream-processable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .poly import Poly, format_poly
+
 
 class InternalFault(RuntimeError):
     """A result contradicts the theory or a second route: a bug, not bad input."""
+
+
+def _text(value: object) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return format_poly(value) if isinstance(value, Poly) else str(value)
 
 
 @dataclass(frozen=True)
@@ -25,12 +36,14 @@ class OutputRecord:
     verdict: str
     payload: str = ""
 
+    @classmethod
+    def of(cls, kind: str, verdict: str, payload: object = "", **params: object) -> OutputRecord:
+        """The record with each parameter and the payload rendered as text."""
+        return cls(kind, tuple((k, _text(v)) for k, v in params.items()), verdict, _text(payload))
+
     def line(self) -> str:
-        fields = [f"kind={self.kind}"]
-        fields.extend(f"{k}={v}" for k, v in self.params)
-        fields.append(f"verdict={self.verdict}")
-        fields.append(f"payload={self.payload}")
-        return "\t".join(fields)
+        params = "".join(f"\t{k}={v}" for k, v in self.params)
+        return f"kind={self.kind}{params}\tverdict={self.verdict}\tpayload={self.payload}"
 
 
 @dataclass
@@ -40,11 +53,10 @@ class Report:
     records: list[OutputRecord] = field(default_factory=list)
     ok: bool = True
 
-    def add(self, kind: str, params: tuple[tuple[str, str], ...], passed: bool,
-            payload: str = "") -> None:
+    def add(self, kind: str, passed: bool, payload: object = "", **params: object) -> None:
         """Append one pass/fail record and fold its verdict into ``ok``."""
         self.ok = self.ok and passed
-        self.records.append(OutputRecord(kind, params, "pass" if passed else "fail", payload))
+        self.records.append(OutputRecord.of(kind, "pass" if passed else "fail", payload, **params))
 
     @property
     def first_failure(self) -> OutputRecord | None:

@@ -1,4 +1,4 @@
-"""Surface syntax: parsing and canonical printing.
+"""Surface syntax: parsing expression text; the printer is poly.format_poly.
 
 The x variables are spelled x1..xn in text (ASCII-only I/O), the z variables
 z1..zn, and in operator expressions d1..dn (or D1..Dn) denote the derivation
@@ -30,10 +30,6 @@ pass, so long sums cost linear, not quadratic, time.  The whole text is
 tokenized first, so a lexical error is reported before any arithmetic; a
 grammar error is reported only after the valid prefix before it has been
 evaluated.
-
-Printing is canonical: terms in descending graded-lex order on the
-concatenated exponent, rational coefficients as a/b, exponent 1 elided,
-coefficient 1 elided except on the constant term.  parse(print(p)) == p.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .poly import Poly
+from .poly import Poly, format_poly  # noqa: F401  (re-exported)
 from .weyl import WeylOp
 
 
@@ -256,32 +252,3 @@ def parse_weyl(text: str, n: int) -> WeylOp:
     The result is the operator's right normal form, stored as its right symbol.
     """
     return parse_expr(text, n, "weyl")
-
-
-# ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-def format_poly(p: Poly) -> str:
-    """Canonical text form; round-trips through parse_poly exactly."""
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for (xe, ze), coeff in p.sorted_terms():
-        factors = []
-        for i, e in enumerate(xe, start=1):
-            if e:
-                factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
-        for i, e in enumerate(ze, start=1):
-            if e:
-                factors.append(f"z{i}" if e == 1 else f"z{i}^{e}")
-        num, den = coeff.numerator, coeff.denominator
-        magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-        if magnitude != "1" or not factors:
-            factors.insert(0, magnitude)
-        term = "*".join(factors)
-        if not pieces:
-            pieces.append(term if num > 0 else f"-{term}")
-        else:
-            pieces.append(f"{' + ' if num > 0 else ' - '}{term}")
-    return "".join(pieces)

@@ -173,18 +173,8 @@ def interchange_check(n: int, degmax: int) -> Report:
     for alpha in iter_multiindices(n, degmax):
         for beta in iter_multiindices(n, degmax - sum(alpha)):
             p = Poly.monomial(n, alpha, beta)
-            got_l2r = right_symbol(from_left_symbol(p))
-            got_r2l = left_symbol(from_right_symbol(p))
-            for direction, got, ok in (("l2r", got_l2r, got_l2r == phi(plus, p)),
-                                       ("r2l", got_r2l, phi(plus, got_r2l) == p)):
-                report.add("interchange", (("alpha", ",".join(map(str, alpha))),
-                                           ("beta", ",".join(map(str, beta))),
-                                           ("dir", direction)),
-                           ok, _poly_text(got))
+            got = right_symbol(from_left_symbol(p))
+            report.add("interchange", got == phi(plus, p), got, alpha=alpha, beta=beta, dir="l2r")
+            got = left_symbol(from_right_symbol(p))
+            report.add("interchange", phi(plus, got) == p, got, alpha=alpha, beta=beta, dir="r2l")
     return report
-
-
-def _poly_text(p: Poly) -> str:
-    from .syntax import format_poly  # deferred: syntax imports this module
-
-    return format_poly(p)

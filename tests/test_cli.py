@@ -148,6 +148,15 @@ def test_mathieu_laguerre_oracle(capsys):
     assert len(out.strip().split("\n")) == 4
 
 
+def test_mathieu_laguerre_oracle_record(capsys):
+    code, out, _ = run_cli(capsys, "mathieu", "--oracle", "laguerre", "--n", "2", "--k", "1,0",
+                           "--f", "2 - z1", "--b", "z2 - 1", "--mmax", "2")
+    assert code == 0
+    assert out.split("\n")[1] == ("kind=mathieu\toracle=laguerre_span\tk=1,0\tm=2\t"
+                                  "power=nonmember\tverdict=member\tpayload=z1^2*z2 - z1^2"
+                                  " - 4*z1*z2 + 4*z1 + 4*z2 - 4")
+
+
 def test_mathieu_degree_cap_aborts(capsys):
     code, _, err = run_cli(capsys, "mathieu", "--oracle", "image", "--n", "1",
                            "--t", "1", "--f", "x1^4", "--b", "z1", "--mmax", "8",
@@ -361,6 +370,23 @@ def test_closed_stdout_exits_quietly_when_the_output_is_buffered():
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "staralg", "phi", "--n", "1", "--f", "x1"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["program", "check"])
+def test_help_into_a_closed_stdout_exits_quietly(argv):
+    # argparse prints the help into the stdout buffer and exits; the flush
+    # that fails must still map to 141, with nothing on stderr
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(staralg.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "staralg", *argv],
                               stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(write_end)

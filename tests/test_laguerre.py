@@ -228,6 +228,11 @@ def test_xi_weighted_orthogonality():
     assert xi_orthogonality_check([Fraction(1), Fraction(2)], 2).ok
 
 
+def test_xi_orthogonality_record_line():
+    record = xi_orthogonality_check([Fraction(1, 2), 3], 2).records[0]
+    assert record.line() == "kind=ortho_xi\talpha=0,0\tbeta=0,0\txi=1/2,3\tverdict=pass\tpayload=1"
+
+
 def test_star_basis_norm_matches_factorial_square():
     # direct spot check of the weighted norm at one point
     ctx = StarContext(1, Fraction(1))
