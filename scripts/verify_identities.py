@@ -3,34 +3,28 @@
 
 Equivalent to looping the `staralg check` subcommand over all suites (the
 starexp suite at order min(--order, 4)); handy for quick regression sweeps
-at larger bounds than the defaults.
+at larger bounds than the defaults.  Every option but --quiet is read as
+`staralg check` reads it.
 """
 
 import argparse
 import sys
 
-from staralg.cli import SUITES, _run_suite, build_parser
+from staralg.cli import SUITES, _weight, build_parser
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=1)
-    parser.add_argument("--t", default="1")
-    parser.add_argument("--degmax", type=int, default=4)
-    parser.add_argument("--mmax", type=int, default=8)
-    parser.add_argument("--kmax", type=int, default=4)
-    parser.add_argument("--order", type=int, default=8)
     parser.add_argument("--quiet", action="store_true",
                         help="print only the per-suite summary lines")
-    args = parser.parse_args()
-
-    base = build_parser().parse_args([
-        "check", "--suite", SUITES[0], f"--n={args.n}", f"--t={args.t}",
-        f"--degmax={args.degmax}", f"--mmax={args.mmax}", f"--kmax={args.kmax}"])
+    args, bounds = parser.parse_known_args()
+    # any suite will do: the loop below sets each in turn
+    base = build_parser().parse_args(["check", "--suite", "ortho", *bounds])
     all_ok = True
-    for name in SUITES:
-        order = min(args.order, 4) if name == "starexp" else args.order
-        report = _run_suite(argparse.Namespace(**{**vars(base), "suite": name, "order": order}))
+    for name, (run, _) in SUITES.items():
+        order = min(base.order, 4) if name == "starexp" else base.order
+        suite_args = argparse.Namespace(**{**vars(base), "suite": name, "order": order})
+        report = run(suite_args, _weight(suite_args))
         if not args.quiet:
             for record in report.records:
                 print(record.line())

@@ -1,17 +1,19 @@
 """Command-line interface.
 
 Every subcommand prints deterministic output: identical argv yields
-byte-identical bytes on stdout.  Exit codes: 0 on success, 1 when a check
-suite fails (or an experiment aborts on the degree cap), 2 on usage errors
-including malformed expressions, 3 on internal faults, 141 on a closed stdout.
+byte-identical bytes on stdout.  Each handler returns its lines and exit code
+and prints nothing; `main` is the one writer of stdout and maps every exit
+code: 0 on success, 1 when a check suite fails or an experiment aborts on the
+degree cap, 2 on usage errors including malformed expressions, 3 on internal
+faults, 141 on a closed stdout.
 
 Resource limits, refused with exit 2 before anything is built: --n is at
-most MAX_N, each size option at most its entry in SIZE_LIMITS, every
-exponent in expression text at most syntax.MAX_EXPONENT, and its parentheses
-nested at most syntax.MAX_NESTING deep.  Those limits bound one option
-each; a check suite's record count, computed from --n and all of its bounds
-together, is at most RECORD_BUDGET.  The cost of one record still grows with
-the degrees and with --n.
+least 1 and at most MAX_N, each size option at most its entry in
+SIZE_LIMITS, every exponent in expression text at most syntax.MAX_EXPONENT,
+and its parentheses nested at most syntax.MAX_NESTING deep.  Those limits
+bound one option each; a check suite's record count, computed by its SUITES
+entry from --n and all of its bounds together, is at most RECORD_BUDGET.
+The cost of one record still grows with the degrees and with --n.
 
 Note: argument values starting with '-' (negative t, leading-minus
 polynomials) must be passed in --flag=value form.  --f/--g/--b/--input
@@ -43,7 +45,7 @@ from .laguerre import (
     star_exp_check,
 )
 from .poly import MultiIndex, format_poly, grlex_key, mi_zero
-from .report import InternalFault, Report
+from .report import InternalFault
 from .syntax import ParseError, parse_poly, parse_weyl
 from .weyl import (
     from_left_symbol,
@@ -71,7 +73,6 @@ RECORD_BUDGET = 12_000
 DEFAULT_DEGMAX = 4
 DEFAULT_MMAX = 8
 DEFAULT_ORDER = 8
-SUITES = ("ortho", "recur", "ode", "genfun", "starexp", "even", "interchange", "oracles")
 
 
 class UsageError(Exception):
@@ -98,10 +99,62 @@ def _parse_multiindex(text: str, n: int, name: str) -> MultiIndex:
     return values
 
 
+def _weight(args) -> MultiIndex:
+    """The weight index --k; all zeros when it is not given."""
+    return mi_zero(args.n) if args.k is None else _parse_multiindex(args.k, args.n, "k")
+
+
+def _multiindices(n: int, degmax: int) -> int:
+    """How many multi-indices of length n have total degree at most degmax."""
+    return comb(degmax + n, n) if degmax >= 0 else 0
+
+
+# Each check suite: its runner, called with the parsed arguments and the
+# weight, and the number of records it prints for those arguments, known
+# before any work so that RECORD_BUDGET can refuse the run.
+SUITES = {
+    "ortho": (lambda a, k: orthogonality_check(a.n, k, a.degmax),
+              lambda a: _multiindices(a.n, a.degmax) ** 2),
+    "recur": (lambda a, k: recurrence_check(a.mmax), lambda a: 2 * max(a.mmax, 0)),
+    "ode": (lambda a, k: ode_check(a.mmax, a.kmax),
+            lambda a: max(a.mmax + 1, 0) * max(a.kmax + 1, 0)),
+    "genfun": (lambda a, k: generating_check(a.kmax, a.order),
+               lambda a: max(a.kmax + 1, 0) * max(a.order + 1, 0)),
+    "starexp": (lambda a, k: star_exp_check(k, a.order),
+                lambda a: (a.n * max(a.order + 1, 0)
+                           + (_multiindices(a.n, a.order) if a.n > 1 else 0))),
+    "even": (lambda a, k: even_identity_report(a.n, a.degmax),
+             lambda a: _multiindices(a.n, a.degmax) ** 2),
+    "interchange": (lambda a, k: interchange_check(a.n, a.degmax),
+                    lambda a: 2 * _multiindices(2 * a.n, a.degmax)),
+    "oracles": (lambda a, k: mathieu.oracle_equivalence_scan(
+                    _parse_fraction(a.t), a.n, a.degmax, random_count=a.count, seed=a.seed),
+                lambda a: _multiindices(2 * a.n, a.degmax) + max(a.count, 0)),
+}
+LAGUERRE_ROUTES = {"explicit": laguerre, "star": laguerre_from_star_at_one,
+                   "genfun": laguerre_genfun}
+# --dir: how the input is parsed, the operator it names, the symbol printed
+SYMBOL_ROUTES = {
+    "left": (parse_weyl, lambda op: op, left_symbol),
+    "right": (parse_weyl, lambda op: op, right_symbol),
+    "l2r": (parse_poly, from_left_symbol, right_symbol),
+    "r2l": (parse_poly, from_right_symbol, left_symbol),
+}
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Lets a failed write of help or usage text raise: argparse swallows the
+    OSError, so a closed unbuffered stdout would exit 0 instead of 141."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared; do not modify it."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="staralg",
         description="Exact star-product algebra, operator symbol calculus, "
                     "Laguerre identities, and Mathieu power experiments.",
@@ -128,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     symbol_p = sub.add_parser("symbol", help="operator symbol maps and interchanges")
     symbol_p.add_argument("--n", type=int, required=True)
-    symbol_p.add_argument("--dir", choices=["left", "right", "l2r", "r2l"], required=True)
+    symbol_p.add_argument("--dir", choices=SYMBOL_ROUTES, required=True)
     symbol_p.add_argument("--input", required=True,
                           help="operator text for left/right, symbol polynomial for l2r/r2l")
 
@@ -141,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     lag_p.add_argument("--n", type=int, required=True)
     lag_p.add_argument("--alpha", required=True, help="comma-separated degree index")
     lag_p.add_argument("--k", required=True, help="comma-separated weight index")
-    lag_p.add_argument("--via", choices=["explicit", "star", "genfun"], default="explicit")
+    lag_p.add_argument("--via", choices=LAGUERRE_ROUTES, default="explicit")
 
     check_p = sub.add_parser("check", help="run a verifier suite; exit 0 iff all pass")
     check_p.add_argument("--suite", required=True, choices=SUITES)
@@ -170,146 +223,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_star(args) -> int:
+def _cmd_star(args) -> tuple[list[str], int]:
     ctx = StarContext(args.n, _parse_fraction(args.t))
     f = parse_poly(args.f, args.n)
     g = parse_poly(args.g, args.n)
-    print(format_poly(star(ctx, f, g)))
-    return 0
+    return [format_poly(star(ctx, f, g))], 0
 
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args) -> tuple[list[str], int]:
     t = _parse_fraction(args.t)
-    if args.inverse:
-        t = -t
-    ctx = StarContext(args.n, t)
-    f = parse_poly(args.f, args.n)
-    print(format_poly(phi_map(ctx, f)))
-    return 0
+    ctx = StarContext(args.n, -t if args.inverse else t)
+    return [format_poly(phi_map(ctx, parse_poly(args.f, args.n)))], 0
 
 
-def _cmd_taylor(args) -> int:
+def _cmd_taylor(args) -> tuple[list[str], int]:
     ctx = StarContext(args.n, _parse_fraction(args.t))
-    f = parse_poly(args.f, args.n)
-    expansion = star_taylor(ctx, f)
-    for alpha in sorted(expansion.coefficients,
-                        key=lambda a: grlex_key((a, mi_zero(args.n)))):
-        coeff = expansion.coefficients[alpha]
-        print(f"alpha={','.join(map(str, alpha))}\ta={format_poly(coeff)}")
-    return 0
+    coefficients = star_taylor(ctx, parse_poly(args.f, args.n)).coefficients
+    alphas = sorted(coefficients, key=lambda a: grlex_key((a, mi_zero(args.n))))
+    return [f"alpha={','.join(map(str, a))}\ta={format_poly(coefficients[a])}" for a in alphas], 0
 
 
-def _cmd_symbol(args) -> int:
-    if args.dir in ("left", "right"):
-        op = parse_weyl(args.input, args.n)
-        symbol = left_symbol(op) if args.dir == "left" else right_symbol(op)
-    elif args.dir == "l2r":
-        p = parse_poly(args.input, args.n)
-        symbol = right_symbol(from_left_symbol(p))
-    else:  # r2l
-        p = parse_poly(args.input, args.n)
-        symbol = left_symbol(from_right_symbol(p))
-    print(format_poly(symbol))
-    return 0
+def _cmd_symbol(args) -> tuple[list[str], int]:
+    parse, operator, symbol = SYMBOL_ROUTES[args.dir]
+    return [format_poly(symbol(operator(parse(args.input, args.n))))], 0
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> tuple[list[str], int]:
     op = parse_weyl(args.op, args.n)
     p = parse_poly(args.poly, args.n)
     if not p.is_z_only():
         raise UsageError("--poly must involve only the z variables")
-    print(format_poly(op.apply(p)))
-    return 0
+    return [format_poly(op.apply(p))], 0
 
 
-def _cmd_laguerre(args) -> int:
+def _cmd_laguerre(args) -> tuple[list[str], int]:
     alpha = _parse_multiindex(args.alpha, args.n, "alpha")
     k = _parse_multiindex(args.k, args.n, "k")
-    spec = LaguerreSpec(alpha, k)
-    if args.via == "explicit":
-        result = laguerre(spec)
-    elif args.via == "star":
-        result = laguerre_from_star_at_one(spec)
-    else:
-        result = laguerre_genfun(spec)
-    print(format_poly(result))
-    return 0
-
-
-def _run_suite(args) -> Report:
-    k = _parse_multiindex(args.k, args.n, "k") if args.k is not None else mi_zero(args.n)
-    if args.suite == "ortho":
-        return orthogonality_check(args.n, k, args.degmax)
-    if args.suite == "recur":
-        return recurrence_check(args.mmax)
-    if args.suite == "ode":
-        return ode_check(args.mmax, args.kmax)
-    if args.suite == "genfun":
-        return generating_check(args.kmax, args.order)
-    if args.suite == "starexp":
-        return star_exp_check(k, args.order)
-    if args.suite == "even":
-        return even_identity_report(args.n, args.degmax)
-    if args.suite == "interchange":
-        return interchange_check(args.n, args.degmax)
-    return mathieu.oracle_equivalence_scan(
-        _parse_fraction(args.t), args.n, args.degmax,
-        random_count=args.count, seed=args.seed)
-
-
-def _multiindices(n: int, degmax: int) -> int:
-    """How many multi-indices of length n have total degree at most degmax."""
-    return comb(degmax + n, n) if degmax >= 0 and n >= 0 else 0
+    return [format_poly(LAGUERRE_ROUTES[args.via](LaguerreSpec(alpha, k)))], 0
 
 
 def _suite_records(args) -> int:
     """The number of records the check suite prints for these arguments."""
-    n = args.n
-    mmax, kmax, order = (max(v + 1, 0) for v in (args.mmax, args.kmax, args.order))  # 0..v
-    return {
-        "ortho": _multiindices(n, args.degmax) ** 2,
-        "even": _multiindices(n, args.degmax) ** 2,
-        "interchange": 2 * _multiindices(2 * n, args.degmax),
-        "oracles": _multiindices(2 * n, args.degmax) + max(args.count, 0),
-        "starexp": max(n, 0) * order + (_multiindices(n, args.order) if n > 1 else 0),
-        "genfun": kmax * order,
-        "ode": mmax * kmax,
-        "recur": 2 * max(args.mmax, 0),
-    }[args.suite]
+    return SUITES[args.suite][1](args)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[list[str], int]:
     records = _suite_records(args)
     if records > RECORD_BUDGET:
         raise UsageError(f"--suite {args.suite} at these sizes prints {records} records, "
                          f"above the budget {RECORD_BUDGET}")
-    report = _run_suite(args)
-    for record in report.records:
-        print(record.line())
-    return 0 if report.ok else 1
+    report = SUITES[args.suite][0](args, _weight(args))
+    return [record.line() for record in report.records], 0 if report.ok else 1
 
 
-def _cmd_mathieu(args) -> int:
+def _cmd_mathieu(args) -> tuple[list[str], int]:
     f = parse_poly(args.f, args.n)
     b = parse_poly(args.b, args.n)
     if args.oracle == "image":
         oracle = mathieu.MembershipOracle("image_ev0", t=_parse_fraction(args.t))
         power_kind = "star"
     else:
-        k = _parse_multiindex(args.k, args.n, "k") if args.k is not None else mi_zero(args.n)
-        oracle = mathieu.MembershipOracle("laguerre_span", k=k)
+        oracle = mathieu.MembershipOracle("laguerre_span", k=_weight(args))
         power_kind = "ordinary"
         if not f.is_z_only() or not b.is_z_only():
             raise UsageError("the laguerre oracle needs f and b in the z variables only")
-    try:
-        report = mathieu.power_experiment(oracle, f, b, args.mmax, power_kind,
-                                          degree_cap=args.degree_cap)
-    except mathieu.DegreeCapExceeded as exc:
-        print(f"staralg: aborted: {exc}", file=sys.stderr)
-        return 1
-    for record in report.records():
-        print(record.line())
-    return 0
+    report = mathieu.power_experiment(oracle, f, b, args.mmax, power_kind,
+                                      degree_cap=args.degree_cap)
+    return [record.line() for record in report.records()], 0
 
 
 _HANDLERS = {
@@ -335,17 +315,23 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, name, None)
             if value is not None and value > limit:
                 raise UsageError(f"--{name.replace('_', '-')} {value} is above the limit {limit}")
+            if name == "n" and value < 1:
+                raise UsageError(f"dimension must be >= 1, got {value}")
         dashes = [name for name in ("f", "g", "b", "input") if getattr(args, name, None) == "-"]
         if len(dashes) > 1:
             raise UsageError("stdin '-' may be used for at most one argument")
         for name in dashes:
             setattr(args, name, sys.stdin.read())
-        code = _HANDLERS[args.command](args)
+        lines, code = _HANDLERS[args.command](args)
+        sys.stdout.writelines(line + "\n" for line in lines)
         sys.stdout.flush()  # here, not at interpreter exit, so a closed pipe still exits 141
         return code
     except (UsageError, ParseError, ValueError) as exc:
         print(f"staralg: error: {exc}", file=sys.stderr)
         return 2
+    except mathieu.DegreeCapExceeded as exc:
+        print(f"staralg: aborted: {exc}", file=sys.stderr)
+        return 1
     except InternalFault as exc:
         print(f"staralg: internal error: {exc}", file=sys.stderr)
         return 3

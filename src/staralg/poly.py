@@ -96,7 +96,9 @@ def iter_multiindices(n: int, max_total: int) -> Iterator[MultiIndex]:
 
 
 def compositions(n: int, total: int) -> Iterator[MultiIndex]:
-    """All multi-indices of length n with |a| == total, in grlex order."""
+    """All multi-indices of length n >= 1 with |a| == total, in grlex order."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     if n == 1:
         yield (total,)
         return

@@ -11,6 +11,7 @@ import pytest
 import staralg
 
 from staralg.cli import (
+    _HANDLERS,
     MAX_N,
     RECORD_BUDGET,
     SIZE_LIMITS,
@@ -19,6 +20,7 @@ from staralg.cli import (
     build_parser,
     main,
 )
+from staralg.mathieu import DegreeCapExceeded
 from staralg.syntax import MAX_EXPONENT, MAX_NESTING
 
 
@@ -163,6 +165,41 @@ def test_mathieu_degree_cap_aborts(capsys):
                            "--degree-cap", "12")
     assert code == 1
     assert "aborted" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--n", "2", "--t", "1/2", "--f", "x1*z2", "--g", "z1 + x2"],
+    ["phi", "--n", "1", "--f", "x1^2*z1^2", "--inverse"],
+    ["taylor", "--n", "1", "--f", "x1*z1^2"],
+    ["symbol", "--n", "1", "--dir", "r2l", "--input", "x1*z1"],
+    ["apply", "--n", "1", "--op", "z1*d1^2", "--poly", "z1^3"],
+    ["laguerre", "--n", "1", "--alpha", "2", "--k", "1", "--via", "star"],
+    ["check", "--suite", "interchange", "--n", "1", "--degmax", "2"],
+    ["mathieu", "--oracle", "image", "--n", "1", "--f", "x1*z1", "--b", "z1", "--mmax", "2"],
+], ids=lambda argv: argv[0])
+def test_handlers_return_what_main_writes(capsys, argv):
+    args = build_parser().parse_args(argv)
+    lines, code = _HANDLERS[args.command](args)
+    assert capsys.readouterr().out == ""
+    assert (code, "".join(line + "\n" for line in lines)) == run_cli(capsys, *argv)[:2]
+
+
+def test_degree_cap_abort_is_mapped_by_main(capsys):
+    argv = ["mathieu", "--oracle", "image", "--n", "1", "--f", "x1^4", "--b", "z1",
+            "--mmax", "8", "--degree-cap", "12"]
+    with pytest.raises(DegreeCapExceeded):
+        _HANDLERS["mathieu"](build_parser().parse_args(argv))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("staralg: aborted: ")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("suite", ["ortho", "even", "starexp", "recur"])
+def test_n_below_one_is_refused(capsys, suite, n):
+    # ortho and even used to recurse without end, starexp printed nothing,
+    # and recur, which ignores --n, ran as at n = 1
+    code, out, err = run_cli(capsys, "check", "--suite", suite, f"--n={n}")
+    assert (code, out, err) == (2, "", f"staralg: error: dimension must be >= 1, got {n}\n")
 
 
 def test_stdin_dash(capsys, monkeypatch):
@@ -383,6 +420,23 @@ def test_help_into_a_closed_stdout_exits_quietly(argv):
     # that fails must still map to 141, with nothing on stderr
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(staralg.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "staralg", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["program", "check"])
+def test_unbuffered_help_into_a_closed_stdout_exits_quietly(argv):
+    # unbuffered, the help's own write fails, inside argparse, which would
+    # swallow the error and exit 0
+    env = {**os.environ, "PYTHONUNBUFFERED": "1",
+           "PYTHONPATH": str(Path(staralg.__file__).parents[1])}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

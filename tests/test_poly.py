@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from staralg.poly import Degree, Poly, iter_multiindices, mi_binomial, mi_factorial, mi_sub
+from staralg.poly import (
+    Degree, Poly, compositions, iter_multiindices, mi_binomial, mi_factorial, mi_sub,
+)
 
 from conftest import polys
 
@@ -184,3 +186,8 @@ def test_mul_degree_additive(f, g):
         assert (f * g).is_zero()
     else:
         assert (f * g).degree().total == f.degree().total + g.degree().total
+
+
+def test_compositions_refuse_dimension_zero():
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        list(compositions(0, 1))
