@@ -4,13 +4,15 @@
 Equivalent to looping the `staralg check` subcommand over all suites (the
 starexp suite at order min(--order, 4)); handy for quick regression sweeps
 at larger bounds than the defaults.  Every option but --quiet is read as
-`staralg check` reads it.
+`staralg check` reads it, and held to the same limits (cli.check_limits):
+a size out of range, or a suite over the record budget, exits 2 before any
+suite runs.
 """
 
 import argparse
 import sys
 
-from staralg.cli import SUITES, _weight, build_parser
+from staralg.cli import SUITES, UsageError, _weight, build_parser, check_limits
 
 
 def main() -> int:
@@ -18,12 +20,21 @@ def main() -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="print only the per-suite summary lines")
     args, bounds = parser.parse_known_args()
-    # any suite will do: the loop below sets each in turn
+    # any suite will do: each run below sets its own
     base = build_parser().parse_args(["check", "--suite", "ortho", *bounds])
-    all_ok = True
+    runs = []
     for name, (run, _) in SUITES.items():
         order = min(base.order, 4) if name == "starexp" else base.order
-        suite_args = argparse.Namespace(**{**vars(base), "suite": name, "order": order})
+        runs.append((name, run, argparse.Namespace(**{**vars(base), "suite": name,
+                                                        "order": order})))
+    try:  # every suite within the CLI's limits before any runs
+        for _, _, suite_args in runs:
+            check_limits(suite_args)
+    except UsageError as exc:
+        print(f"staralg: error: {exc}", file=sys.stderr)
+        return 2
+    all_ok = True
+    for name, run, suite_args in runs:
         report = run(suite_args, _weight(suite_args))
         if not args.quiet:
             for record in report.records:

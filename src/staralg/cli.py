@@ -7,11 +7,11 @@ code: 0 on success, 1 when a check suite fails or an experiment aborts on the
 degree cap, 2 on usage errors including malformed expressions, 3 on internal
 faults, 141 on a closed stdout.
 
-Resource limits, refused with exit 2 before anything is built: --n is at
-least 1 and at most MAX_N, each size option at most its entry in
-SIZE_LIMITS, every exponent in expression text at most syntax.MAX_EXPONENT,
-and its parentheses nested at most syntax.MAX_NESTING deep.  Those limits
-bound one option each; a check suite's record count, computed by its SUITES
+Resource limits, refused with exit 2 before anything is built: --n is in
+1..MAX_N, each size option in 0..its entry in SIZE_LIMITS (check_limits),
+every exponent in expression text at most syntax.MAX_EXPONENT, and its
+parentheses nested at most syntax.MAX_NESTING deep.  Those limits bound one
+option each; a check suite's record count, computed by its SUITES
 entry from --n and all of its bounds together, is at most RECORD_BUDGET.
 The cost of one record still grows with the degrees and with --n.
 
@@ -106,7 +106,7 @@ def _weight(args) -> MultiIndex:
 
 def _multiindices(n: int, degmax: int) -> int:
     """How many multi-indices of length n have total degree at most degmax."""
-    return comb(degmax + n, n) if degmax >= 0 else 0
+    return comb(degmax + n, n)
 
 
 # Each check suite: its runner, called with the parsed arguments and the
@@ -115,21 +115,20 @@ def _multiindices(n: int, degmax: int) -> int:
 SUITES = {
     "ortho": (lambda a, k: orthogonality_check(a.n, k, a.degmax),
               lambda a: _multiindices(a.n, a.degmax) ** 2),
-    "recur": (lambda a, k: recurrence_check(a.mmax), lambda a: 2 * max(a.mmax, 0)),
+    "recur": (lambda a, k: recurrence_check(a.mmax), lambda a: 2 * a.mmax),
     "ode": (lambda a, k: ode_check(a.mmax, a.kmax),
-            lambda a: max(a.mmax + 1, 0) * max(a.kmax + 1, 0)),
+            lambda a: (a.mmax + 1) * (a.kmax + 1)),
     "genfun": (lambda a, k: generating_check(a.kmax, a.order),
-               lambda a: max(a.kmax + 1, 0) * max(a.order + 1, 0)),
+               lambda a: (a.kmax + 1) * (a.order + 1)),
     "starexp": (lambda a, k: star_exp_check(k, a.order),
-                lambda a: (a.n * max(a.order + 1, 0)
-                           + (_multiindices(a.n, a.order) if a.n > 1 else 0))),
+                lambda a: a.n * (a.order + 1) + (_multiindices(a.n, a.order) if a.n > 1 else 0)),
     "even": (lambda a, k: even_identity_report(a.n, a.degmax),
              lambda a: _multiindices(a.n, a.degmax) ** 2),
     "interchange": (lambda a, k: interchange_check(a.n, a.degmax),
                     lambda a: 2 * _multiindices(2 * a.n, a.degmax)),
     "oracles": (lambda a, k: mathieu.oracle_equivalence_scan(
                     _parse_fraction(a.t), a.n, a.degmax, random_count=a.count, seed=a.seed),
-                lambda a: _multiindices(2 * a.n, a.degmax) + max(a.count, 0)),
+                lambda a: _multiindices(2 * a.n, a.degmax) + a.count),
 }
 LAGUERRE_ROUTES = {"explicit": laguerre, "star": laguerre_from_star_at_one,
                    "genfun": laguerre_genfun}
@@ -267,11 +266,23 @@ def _suite_records(args) -> int:
     return SUITES[args.suite][1](args)
 
 
-def _cmd_check(args) -> tuple[list[str], int]:
-    records = _suite_records(args)
+def check_limits(args) -> None:
+    """Refuse (UsageError) --n outside 1..MAX_N, a size option outside 0..its
+    SIZE_LIMITS entry, and a check suite of more than RECORD_BUDGET records."""
+    for name, low, high in (("n", 1, MAX_N), *((k, 0, v) for k, v in SIZE_LIMITS.items())):
+        value, flag = getattr(args, name, None), f"--{name.replace('_', '-')}"
+        if value is not None and value > high:
+            raise UsageError(f"{flag} {value} is above the limit {high}")
+        if value is not None and value < low:
+            raise UsageError(f"dimension must be >= 1, got {value}" if name == "n"
+                             else f"{flag} {value} is below the limit {low}")
+    records = _suite_records(args) if getattr(args, "suite", None) else 0
     if records > RECORD_BUDGET:
         raise UsageError(f"--suite {args.suite} at these sizes prints {records} records, "
                          f"above the budget {RECORD_BUDGET}")
+
+
+def _cmd_check(args) -> tuple[list[str], int]:
     report = SUITES[args.suite][0](args, _weight(args))
     return [record.line() for record in report.records], 0 if report.ok else 1
 
@@ -311,12 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # argparse has printed the help or a usage error
             sys.stdout.flush()  # a closed pipe raises here, inside the outer try
             return exc.code if isinstance(exc.code, int) else 2
-        for name, limit in (("n", MAX_N), *SIZE_LIMITS.items()):
-            value = getattr(args, name, None)
-            if value is not None and value > limit:
-                raise UsageError(f"--{name.replace('_', '-')} {value} is above the limit {limit}")
-            if name == "n" and value < 1:
-                raise UsageError(f"dimension must be >= 1, got {value}")
+        check_limits(args)
         dashes = [name for name in ("f", "g", "b", "input") if getattr(args, name, None) == "-"]
         if len(dashes) > 1:
             raise UsageError("stdin '-' may be used for at most one argument")

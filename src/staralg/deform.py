@@ -31,13 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, perm, prod
+from math import comb, perm, prod
 from operator import sub
 
 from .poly import (
     MultiIndex,
     Poly,
-    TermKey,
     mi_factorial,
     mi_le,
     mi_zero,
@@ -73,26 +72,27 @@ def phi(ctx: StarContext, f: Poly) -> Poly:
         phi_t(x^a z^b) = sum over gamma <= min(a, b) of t^|gamma| * x^(a-gamma) z^(b-gamma)
                          * prod_i C(a_i, gamma_i) * b_i! / (b_i - gamma_i)!,
 
-    summed in integers over one common denominator.  phi_{-t} is the inverse.
+    summed in integers over f's denominator times q^depth, t = p/q.  phi_{-t} is
+    the inverse.
     """
     ctx.check(f)
-    depth = max((sum(map(min, xe, ze)) for xe, ze in f.terms), default=0)  # max |gamma|
+    n = f.n
+    depth = max((sum(map(min, k[:n], k[n:])) for k in f.nums), default=0)  # max |gamma|
     if ctx.t == 0 or depth == 0:
         return f
     p, q = ctx.t.numerator, ctx.t.denominator
     t_pow = [p ** k * q ** (depth - k) for k in range(depth + 1)]  # t^k * q^depth
-    denom = lcm(*(c.denominator for c in f.terms.values()))
-    out: dict[TermKey, int] = {}
-    for (xe, ze), c in f.terms.items():
+    out: dict[MultiIndex, int] = {}
+    for key, c in f.nums.items():
         # (x exponent, z exponent, integer weight, |gamma|), one coordinate at a time
-        partial = [((), (), c.numerator * (denom // c.denominator), 0)]
-        for a, b in zip(xe, ze):
+        partial = [((), (), c, 0)]
+        for a, b in zip(key[:n], key[n:]):
             partial = [(xp + (a - g,), zp + (b - g,), w * comb(a, g) * perm(b, g), k + g)
                        for xp, zp, w, k in partial for g in range(min(a, b) + 1)]
         for xp, zp, w, k in partial:
-            out[(xp, zp)] = out.get((xp, zp), 0) + w * t_pow[k]
-    scale = denom * q ** depth
-    return Poly._canonical(f.n, {key: Fraction(v, scale) for key, v in out.items() if v})
+            flat = xp + zp
+            out[flat] = out.get(flat, 0) + w * t_pow[k]
+    return Poly._make(n, out, f.den * q ** depth)
 
 
 def star(ctx: StarContext, f: Poly, g: Poly) -> Poly:
@@ -105,17 +105,18 @@ def _star_via_subst(ctx: StarContext, p: Poly, g: Poly, side: int) -> Poly:
     substituting the commuting operators x_i - t*dz_i, resp. z_i - t*dxi_i,
     factor by factor.  Serves as an independent oracle for ``star``."""
     ctx.check(p, g)
-    if any(key[1 - side] != mi_zero(ctx.n) for key in p.terms):
+    n = ctx.n
+    if any(any(k[(1 - side) * n:(2 - side) * n]) for k in p.nums):
         raise ValueError(f"first factor must be a polynomial in the {'xz'[side]} variables only")
     var, partial = (Poly.xi_var, Poly.d_z) if side == 0 else (Poly.z_var, Poly.d_xi)
     pieces = []
-    for key, c in p.terms.items():
+    for key, c in p.nums.items():
         h = g
-        for i, e in enumerate(key[side], start=1):
+        for i, e in enumerate(key[side * n:side * n + n], start=1):
             for _ in range(e):
-                h = var(ctx.n, i) * h - partial(h, i) * ctx.t
+                h = var(n, i) * h - partial(h, i) * ctx.t
         pieces.append(h * c)
-    return Poly.sum(ctx.n, pieces)
+    return Poly.sum(n, pieces) / p.den
 
 
 def star_via_subst_xi(ctx: StarContext, lam: Poly, g: Poly) -> Poly:
@@ -149,21 +150,19 @@ def star_ev0(ctx: StarContext, f: Poly) -> Poly:
     Termwise, x^b z^g maps to t^|b| * dz^b(z^g), extended linearly.  The
     result lies in Q[z], and the map is an algebra homomorphism from the
     star_t product to the ordinary product on Q[z]; it also factors as
-    evaluate(phi(f), x=0).  Summed in integers over one common denominator.
+    evaluate(phi(f), x=0).  Summed in integers over f's denominator.
     """
     ctx.check(f)
-    live = [(xe, ze, c) for (xe, ze), c in f.terms.items() if mi_le(xe, ze)]  # else dz^xe z^ze = 0
+    n = f.n
+    live = [(k[:n], k[n:], c) for k, c in f.nums.items() if mi_le(k[:n], k[n:])]  # else 0
     depth = max((sum(xe) for xe, _, _ in live), default=0)
-    p, q = ctx.t.numerator, ctx.t.denominator
-    denom = lcm(*(c.denominator for _, _, c in live))
-    zero = mi_zero(ctx.n)
-    out: dict[TermKey, int] = {}
-    for xe, ze, c in live:  # c * t^|xe| * ze! / (ze - xe)!, scaled by denom * q^depth
-        w = c.numerator * (denom // c.denominator) * p ** sum(xe) * q ** (depth - sum(xe))
-        key = (zero, tuple(map(sub, ze, xe)))
+    p, q, zero = ctx.t.numerator, ctx.t.denominator, mi_zero(n)
+    out: dict[MultiIndex, int] = {}
+    for xe, ze, c in live:  # c * t^|xe| * ze! / (ze - xe)!, scaled by q^depth
+        key = zero + tuple(map(sub, ze, xe))
+        w = c * p ** sum(xe) * q ** (depth - sum(xe))
         out[key] = out.get(key, 0) + w * prod(map(perm, ze, xe))
-    scale = denom * q ** depth
-    return Poly._canonical(ctx.n, {key: Fraction(v, scale) for key, v in out.items() if v})
+    return Poly._make(n, out, f.den * q ** depth)
 
 
 @dataclass(frozen=True)
@@ -181,15 +180,16 @@ class StarTaylor:
     def reconstruct(self) -> Poly:
         """Re-assemble the source polynomial exactly, as phi_{-t}(sum_a x^a c_a / a!):
         phi_t fixes x^a and each c_a in Q[z], so x^a star_t c_a = phi_{-t}(x^a c_a)."""
-        terms = {(alpha, ze): coeff / mi_factorial(alpha)
-                 for alpha, c in self.coefficients.items() for (_, ze), coeff in c.terms.items()}
-        return phi(StarContext(self.n, -self.t), Poly(self.n, terms))
+        flow = Poly.sum(self.n, (Poly.xi_monomial(self.n, a, Fraction(1, mi_factorial(a))) * c
+                                 for a, c in self.coefficients.items()))
+        return phi(StarContext(self.n, -self.t), flow)
 
 
 def star_taylor(ctx: StarContext, f: Poly) -> StarTaylor:
     """Expand f in star-Taylor form, reading c_a = a! * [x^a] phi_t(f) off one
     flow: phi_t fixes x^a and Q[z], so phi_t(f) = sum_a x^a c_a(z) / a!."""
-    grouped: dict[MultiIndex, dict[TermKey, Fraction]] = {}
-    for (xe, ze), c in phi(ctx, f).terms.items():
-        grouped.setdefault(xe, {})[(mi_zero(ctx.n), ze)] = c * mi_factorial(xe)
-    return StarTaylor(ctx.n, ctx.t, {a: Poly(ctx.n, t) for a, t in grouped.items()})
+    n, zero, flow = ctx.n, mi_zero(ctx.n), phi(ctx, f)
+    grouped: dict[MultiIndex, dict[MultiIndex, int]] = {}
+    for k, c in flow.nums.items():
+        grouped.setdefault(k[:n], {})[zero + k[n:]] = c * mi_factorial(k[:n])
+    return StarTaylor(n, ctx.t, {a: Poly._make(n, nums, flow.den) for a, nums in grouped.items()})

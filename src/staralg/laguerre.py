@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Callable, Sequence
 
 from .deform import StarContext, star_monomial
@@ -67,21 +67,15 @@ def laguerre1(m: int, k: int) -> Poly:
     """The one-variable polynomial L_m^[k](z1), dimension n = 1."""
     if m < 0 or k < 0:
         raise ValueError(f"m and k must be non-negative, got m={m}, k={k}")
-    terms = {}
-    for j in range(m + 1):
-        c = Fraction(comb(m + k, m - j) * (-1) ** j, factorial(j))
-        terms[((0,), (j,))] = c
-    return Poly(1, terms)
+    return Poly._make(1, {(0, j): comb(m + k, m - j) * (-1) ** j * (factorial(m) // factorial(j))
+                          for j in range(m + 1)}, factorial(m))
 
 
 def _embed(p: Poly, n: int, i: int) -> Poly:
     """Lift a one-variable polynomial into n variables at coordinate i (1-based)."""
-    out = {}
-    for ((a,), (b,)), c in p.terms.items():
-        xe = tuple(a if j == i - 1 else 0 for j in range(n))
-        ze = tuple(b if j == i - 1 else 0 for j in range(n))
-        out[(xe, ze)] = c
-    return Poly(n, out)
+    lo, hi = (0,) * (i - 1), (0,) * (n - i)
+    return Poly._make(n, {lo + (a,) + hi + lo + (b,) + hi: c for (a, b), c in p.nums.items()},
+                      p.den)
 
 
 def _coordinatewise(factors: Sequence[Poly]) -> Poly:
@@ -167,15 +161,12 @@ def integrate_weight(p: Poly, k: MultiIndex) -> Fraction:
         raise ValueError("integrand must lie in Q[z]")
     if len(k) != p.n:
         raise ValueError(f"weight index length {len(k)} != dimension {p.n}")
-    # integer numerators over the common denominator of the coefficients
-    d = lcm(*(c.denominator for c in p.terms.values()))
     total = 0
-    for (_, ze), c in p.terms.items():
-        w = c.numerator * (d // c.denominator)
-        for e, kk in zip(ze, k):
-            w *= gamma_moment(e + kk)
-        total += w
-    return Fraction(total, d)
+    for key, c in p.nums.items():  # integer numerators over p.den
+        for e, kk in zip(key[p.n:], k):
+            c *= gamma_moment(e + kk)
+        total += c
+    return Fraction(total, p.den)
 
 
 def integrate_weight_xi(p: Poly, xi_point: Sequence[Scalar]) -> Fraction:
@@ -189,12 +180,12 @@ def integrate_weight_xi(p: Poly, xi_point: Sequence[Scalar]) -> Fraction:
     if any(v <= 0 for v in point):
         raise ValueError("all xi entries must be positive")
     total = Fraction(0)
-    for (_, ze), c in p.terms.items():
-        m = Fraction(1)
-        for e, v in zip(ze, point):
+    for key, c in p.nums.items():
+        m = Fraction(c)
+        for e, v in zip(key[p.n:], point):
             m *= Fraction(factorial(e)) / v ** e
-        total += c * m
-    return total
+        total += m
+    return total / p.den
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .poly import (
     ZERO_DEGREE,
     MultiIndex,
     Poly,
-    TermKey,
     compositions,
     iter_multiindices,
 )
@@ -79,26 +78,28 @@ def image_linear_witness(ctx: StarContext, p: Poly,
     (None) if some g_i exceeds degree_bound (default deg(p) - 1).
     """
     ctx.check(p)
-    by_depth: dict[int, dict[TermKey, Fraction]] = {}
-    for (xe, ze), c in p.terms.items():
-        by_depth.setdefault(sum(xe), {})[xe, ze] = c
-    quotients: list[dict[TermKey, Fraction]] = [{} for _ in range(ctx.n)]
-    for depth in range(max(by_depth, default=0), 0, -1):
+    # in integers: a value c at x-depth d is stored as c * den * q^(top - d), t = num/q
+    n, num, q = p.n, ctx.t.numerator, ctx.t.denominator
+    top = max((sum(k[:n]) for k in p.nums), default=0)
+    by_depth: dict[int, dict[MultiIndex, int]] = {}
+    for k, c in p.nums.items():
+        by_depth.setdefault(sum(k[:n]), {})[k] = c * q ** (top - sum(k[:n]))
+    quotients: list[dict[MultiIndex, int]] = [{} for _ in range(n)]
+    for depth in range(top, 0, -1):
         below = by_depth.setdefault(depth - 1, {})
-        for (xe, ze), c in by_depth.pop(depth, {}).items():
+        for k, c in by_depth.pop(depth, {}).items():
             if not c:
                 continue  # cancelled by a carry
-            i = next(j for j, e in enumerate(xe) if e)
-            lowered = xe[:i] + (xe[i] - 1,) + xe[i + 1:]
-            quotients[i][lowered, ze] = c
-            if ctx.t and ze[i]:
-                key = (lowered, ze[:i] + (ze[i] - 1,) + ze[i + 1:])
-                below[key] = below.get(key, 0) + c * ctx.t * ze[i]
+            i = next(j for j, e in enumerate(k) if e)  # the first x variable
+            lowered = k[:i] + (k[i] - 1,) + k[i + 1:]
+            quotients[i][lowered] = c * q ** depth  # over den * q^top
+            if num and k[n + i]:
+                key = lowered[:n + i] + (k[n + i] - 1,) + lowered[n + i + 1:]
+                below[key] = below.get(key, 0) + c * num * k[n + i]
     bound = p.degree().total - 1 if degree_bound is None else degree_bound
-    if any(by_depth.get(0, {}).values()) or any(
-            sum(xe) + sum(ze) > bound for q in quotients for xe, ze in q):
+    if any(by_depth.get(0, {}).values()) or any(sum(k) > bound for g in quotients for k in g):
         return None
-    return [Poly(ctx.n, q) for q in quotients]
+    return [Poly._make(n, g, p.den * q ** top) for g in quotients]
 
 
 def in_laguerre_span(p: Poly, k: MultiIndex) -> bool:
@@ -243,7 +244,7 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
 
 def _x_divisible(p: Poly) -> bool:
     """Whether every term of p has an x: p is in (x), the image in flow coordinates."""
-    return all(any(xe) for xe, _ in p.terms)
+    return all(any(k[:p.n]) for k in p.nums)
 
 
 def _check_degree_cap(name: str, degree: int, degree_cap: int) -> None:

@@ -1,20 +1,16 @@
 """Exact sparse polynomials in two matched families of variables.
 
-A polynomial lives in Q[x1..xn, z1..zn].  Terms are stored sparsely as a
-mapping
+A polynomial lives in Q[x1..xn, z1..zn] and is stored once, in integers:
+``nums`` maps a flat exponent key, the 2n-tuple (x1..xn, z1..zn), to a
+nonzero integer numerator over one positive denominator ``den``, with
+gcd(den, *nums) = 1 (den = 1 for zero).  Values are immutable and every
+operation is a pure function, so polynomials may be shared freely.
 
-    (x_exponent, z_exponent) -> coefficient
-
-where both exponents are length-n tuples of non-negative integers and every
-stored coefficient is a nonzero ``Fraction``.  The zero polynomial is the
-empty mapping.  Values are immutable after construction and every operation
-is a pure function, so polynomials may be shared freely between workers.
-
-The product (like ``phi`` and ``star_ev0`` in ``deform``) sums in integers
-over one common denominator and builds one Fraction per output term.
-Kernels whose output is canonical by construction wrap it with the trusted
-``Poly._canonical``; every dict from outside, the parser's included, goes
-through ``Poly(n, terms)``, which validates and prunes it.
+Every kernel, here and in the modules above, sums in integers over one
+common denominator and hands its output to the trusted ``Poly._make``, which
+drops zeros and divides out the gcd; no Fraction is built per term.
+``Poly(n, terms)`` validates and prunes a mapping from outside.  ``terms``
+is the public view, derived lazily: (x_exponent, z_exponent) -> Fraction.
 
 Variable indices in the public API are 1-based, matching the surface syntax
 x1..xn / z1..zn.  Mixing polynomials of different dimension n is a hard
@@ -27,17 +23,19 @@ constant term) elided; parse_poly(format_poly(p), p.n) == p.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
-from operator import add
+from functools import cache
+from math import comb, factorial, gcd, prod
+from operator import add, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 MultiIndex = tuple[int, ...]
 TermKey = tuple[MultiIndex, MultiIndex]
 Scalar = Union[int, Fraction]
-SIDES = {"xi": 0, "z": 1}  # derivative kind -> position of its exponent in a TermKey
+SIDES = {"xi": 0, "z": 1}  # derivative kind -> which half of a flat key holds its exponent
 
 
 # ---------------------------------------------------------------------------
@@ -127,47 +125,59 @@ class Degree(NamedTuple):
 ZERO_DEGREE = Degree(-1, -1, -1)  # degree of the zero polynomial, by convention
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Sparse exact-rational polynomial in x1..xn, z1..zn.
+def _flat_key(n: int, xe: MultiIndex, ze: MultiIndex) -> MultiIndex:
+    """The flat key of an exponent pair from outside, validated."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    if len(xe) != n or len(ze) != n:
+        raise ValueError(f"exponent length mismatch for dimension {n}: {(xe, ze)}")
+    if min(xe) < 0 or min(ze) < 0:
+        raise ValueError(f"negative exponent in term {(xe, ze)}")
+    return (*xe, *ze)
 
-    ``terms`` maps (x_exponent, z_exponent) to a nonzero Fraction; the
-    constructor prunes zero coefficients and validates exponent shapes, and
-    the kernels that skip it through ``_canonical`` produce only canonical
-    dicts, so the representation invariant holds for every value.  The
-    stored mapping is a read-only view, and equal polynomials hash equal.
-    """
+
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+class Poly:
+    """Sparse exact-rational polynomial in x1..xn, z1..zn, stored as reduced
+    integer numerators ``nums`` on flat keys over ``den`` (module docstring)."""
 
     n: int
-    terms: Mapping[TermKey, Fraction]
+    nums: Mapping[MultiIndex, int]
+    den: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        clean: dict[TermKey, Fraction] = {}
-        for (xe, ze), c in self.terms.items():
-            if len(xe) != self.n or len(ze) != self.n:
-                raise ValueError(f"exponent length mismatch for dimension {self.n}: {(xe, ze)}")
-            if min(xe) < 0 or min(ze) < 0:
-                raise ValueError(f"negative exponent in term {(xe, ze)}")
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:
-                clean[(tuple(xe), tuple(ze))] = c
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+    def __init__(self, n: int, terms: Mapping[TermKey, Scalar]) -> None:
+        """Validate and prune a mapping (x_exponent, z_exponent) -> rational."""
+        p = Poly.sum(n, (Poly.monomial(n, xe, ze, c) for (xe, ze), c in terms.items()))
+        for name in ("n", "nums", "den"):
+            object.__setattr__(self, name, getattr(p, name))
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Poly) and self.n == other.n and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.den, frozenset(self.nums.items())))
+
+    @property
+    def terms(self) -> Mapping[TermKey, Fraction]:
+        """Read-only view: (x_exponent, z_exponent) -> nonzero Fraction."""
+        return MappingProxyType(_Terms(self))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _canonical(cls, n: int, terms: dict[TermKey, Fraction]) -> "Poly":
-        """Wrap terms a kernel has already made canonical, skipping the checks
-        in __post_init__; outside input goes through Poly(n, terms)."""
+    def _make(cls, n: int, nums: dict[MultiIndex, int], den: int = 1) -> "Poly":
+        """Trusted: integer numerators on flat keys over den > 0, reduced here.
+        The caller hands nums over; outside input goes through Poly(n, terms)."""
+        if 0 in nums.values():
+            nums = {k: v for k, v in nums.items() if v}
+        g = gcd(den, *nums.values()) if den != 1 else 1
+        if g != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
         p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "terms", MappingProxyType(terms))
+        for name, value in (("n", n), ("nums", MappingProxyType(nums)), ("den", den)):
+            object.__setattr__(p, name, value)
         return p
 
     @classmethod
@@ -176,36 +186,42 @@ class Poly:
 
     @classmethod
     def const(cls, n: int, value: Scalar) -> "Poly":
-        return cls(n, {(mi_zero(n), mi_zero(n)): Fraction(value)})
+        return cls.monomial(n, mi_zero(n), mi_zero(n), value)
 
     @classmethod
     def xi_var(cls, n: int, i: int) -> "Poly":
         """The variable x_i (1-based)."""
-        return cls(n, {(mi_unit(n, i), mi_zero(n)): Fraction(1)})
+        return cls.monomial(n, mi_unit(n, i), mi_zero(n))
 
     @classmethod
     def z_var(cls, n: int, i: int) -> "Poly":
         """The variable z_i (1-based)."""
-        return cls(n, {(mi_zero(n), mi_unit(n, i)): Fraction(1)})
+        return cls.monomial(n, mi_zero(n), mi_unit(n, i))
 
     @classmethod
     def sum(cls, n: int, pieces: Iterable["Poly"]) -> "Poly":
-        """The sum of polynomials of dimension n (zero if there are none),
-        accumulated in one dict rather than one new Poly per addition."""
+        """The sum of polynomials of dimension n (zero if there are none), in
+        one dict over a common denominator grown only when a piece needs it."""
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
-        out: dict[TermKey, Fraction] = {}
+        out: dict[MultiIndex, int] = {}
+        den = 1  # the lcm of the denominators so far
         for p in pieces:
             if p.n != n:
                 raise ValueError(f"dimension mismatch: {n} vs {p.n}")
-            for k, c in p.terms.items():
-                out[k] = out[k] + c if k in out else c
-        return cls._canonical(n, {k: c for k, c in out.items() if c})
+            if den % p.den:
+                grow = p.den // gcd(den, p.den)
+                den, out = den * grow, {k: v * grow for k, v in out.items()}
+            scale = den // p.den
+            for k, v in p.nums.items():
+                out[k] = out.get(k, 0) + v * scale
+        return cls._make(n, out, den)
 
     @classmethod
     def monomial(cls, n: int, xi_exp: MultiIndex, z_exp: MultiIndex,
                  coeff: Scalar = 1) -> "Poly":
-        return cls(n, {(tuple(xi_exp), tuple(z_exp)): Fraction(coeff)})
+        c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+        return cls._make(n, {_flat_key(n, xi_exp, z_exp): c.numerator}, c.denominator)
 
     @classmethod
     def xi_monomial(cls, n: int, alpha: MultiIndex, coeff: Scalar = 1) -> "Poly":
@@ -218,29 +234,25 @@ class Poly:
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_z_only(self) -> bool:
         """True iff no term depends on any x variable."""
-        return all(sum(xe) == 0 for xe, _ in self.terms)
+        return not any(any(k[:self.n]) for k in self.nums)
 
     def coefficient(self, xi_exp: MultiIndex, z_exp: MultiIndex) -> Fraction:
-        return self.terms.get((tuple(xi_exp), tuple(z_exp)), Fraction(0))
+        fits = len(xi_exp) == len(z_exp) == self.n
+        return Fraction(self.nums.get((*xi_exp, *z_exp), 0) if fits else 0, self.den)
 
     def constant_term(self) -> Fraction:
         return self.coefficient(mi_zero(self.n), mi_zero(self.n))
 
     def degree(self) -> Degree:
         """(total, x, z) degrees; (-1, -1, -1) for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return ZERO_DEGREE
-        xi_deg = z_deg = total = 0
-        for xe, ze in self.terms:
-            sx, sz = sum(xe), sum(ze)
-            xi_deg = max(xi_deg, sx)
-            z_deg = max(z_deg, sz)
-            total = max(total, sx + sz)
-        return Degree(total, xi_deg, z_deg)
+        sides = [(sum(k[:self.n]), sum(k[self.n:])) for k in self.nums]
+        return Degree(max(map(sum, sides)), max(x for x, _ in sides), max(z for _, z in sides))
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
         """Terms in descending graded-lex order; the canonical iteration order."""
@@ -248,41 +260,33 @@ class Poly:
 
     def homogeneous_part(self, total_degree: int) -> "Poly":
         """The homogeneous component of the given total degree."""
-        picked = {k: c for k, c in self.terms.items()
-                  if sum(k[0]) + sum(k[1]) == total_degree}
-        return Poly(self.n, picked)
+        return Poly._make(self.n, {k: v for k, v in self.nums.items() if sum(k) == total_degree},
+                          self.den)
 
     # -- arithmetic ----------------------------------------------------------
-
-    def _require_same_n(self, other: "Poly") -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
     def __add__(self, other: "Poly") -> "Poly":
         return Poly.sum(self.n, (self, other))
 
     def __neg__(self) -> "Poly":
-        return Poly._canonical(self.n, {k: -c for k, c in self.terms.items()})
+        return Poly._make(self.n, {k: -v for k, v in self.nums.items()}, self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return Poly.sum(self.n, (self, -other))
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            scaled = {k: c * other for k, c in self.terms.items()} if other else {}
-            return Poly._canonical(self.n, scaled)
-        self._require_same_n(other)
-        # integer numerators over the common denominators da, db of the factors
-        da, db = (lcm(*(c.denominator for c in p.terms.values())) for p in (self, other))
-        right = [(xb, zb, cb.numerator * (db // cb.denominator))
-                 for (xb, zb), cb in other.terms.items()]
-        out: dict[TermKey, int] = {}
-        for (xa, za), ca in self.terms.items():
-            wa = ca.numerator * (da // ca.denominator)
-            for xb, zb, wb in right:
-                k = (tuple(map(add, xa, xb)), tuple(map(add, za, zb)))
-                out[k] = out.get(k, 0) + wa * wb
-        return Poly._canonical(self.n, {k: Fraction(v, da * db) for k, v in out.items() if v})
+            return Poly._make(self.n, {k: v * other.numerator for k, v in self.nums.items()},
+                              self.den * other.denominator)
+        if self.n != other.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
+        right = list(other.nums.items())
+        out: dict[MultiIndex, int] = {}
+        for ka, va in self.nums.items():
+            for kb, vb in right:
+                k = tuple(map(add, ka, kb))
+                out[k] = out.get(k, 0) + va * vb
+        return Poly._make(self.n, out, self.den * other.den)
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self * other
@@ -307,17 +311,12 @@ class Poly:
     # -- calculus ------------------------------------------------------------
 
     def _d(self, side: int, i: int) -> "Poly":
-        """Partial derivative in the i-th (1-based) x (side 0) or z (side 1) variable."""
+        """Partial derivative in x_i (side 0) or z_i (side 1): flat position side * n + i - 1."""
         if not 1 <= i <= self.n:
             raise IndexError(f"index {i} out of range 1..{self.n}")
-        j = i - 1
-        out: dict[TermKey, Fraction] = {}
-        for key, c in self.terms.items():
-            e = key[side][j]
-            if e:
-                lowered = key[side][:j] + (e - 1,) + key[side][j + 1:]
-                out[(lowered, key[1]) if side == 0 else (key[0], lowered)] = c * e
-        return Poly._canonical(self.n, out)
+        j = side * self.n + i - 1
+        out = {k[:j] + (k[j] - 1,) + k[j + 1:]: v * k[j] for k, v in self.nums.items() if k[j]}
+        return Poly._make(self.n, out, self.den)
 
     def d_z(self, i: int) -> "Poly":
         """Partial derivative with respect to z_i (1-based)."""
@@ -349,39 +348,38 @@ class Poly:
         """Substitute rational points for the x and/or z variables.
 
         Substituting only one family returns a Poly in the remaining family;
-        substituting both returns the exact Fraction value.
+        substituting both returns the exact Fraction value.  A value p/q at a
+        flat position of largest exponent d adds p^e q^(d - e) over q^d.
         """
-        points = (xi_point, z_point)
-        for name, pt in zip(SIDES, points):
-            if pt is not None and len(pt) != self.n:
-                raise ValueError(f"{name} point length {len(pt)} != dimension {self.n}")
-        out: dict[TermKey, Fraction] = {}
-        for key, c in self.terms.items():
-            key = list(key)
-            for side, pt in enumerate(points):
-                if pt is not None:
-                    for e, v in zip(key[side], pt):
-                        if e:
-                            c *= Fraction(v) ** e
-                    key[side] = mi_zero(self.n)
-            k = tuple(key)
-            out[k] = out.get(k, 0) + c
-        result = Poly(self.n, out)
-        if xi_point is not None and z_point is not None:
-            return result.constant_term()
-        return result
+        n = self.n
+        values: dict[int, Fraction] = {}  # flat position -> value
+        for side, (name, pt) in enumerate(zip(SIDES, (xi_point, z_point))):
+            if pt is not None and len(pt) != n:
+                raise ValueError(f"{name} point length {len(pt)} != dimension {n}")
+            values.update((side * n + j, Fraction(v)) for j, v in enumerate(pt or ()))
+        depth = {j: max((k[j] for k in self.nums), default=0) for j in values}
+        den = self.den * prod(v.denominator ** depth[j] for j, v in values.items())
+        out: dict[MultiIndex, int] = {}
+        for k, w in self.nums.items():
+            for j, v in values.items():
+                w *= v.numerator ** k[j] * v.denominator ** (depth[j] - k[j])
+            key = tuple(0 if j in values else e for j, e in enumerate(k))
+            out[key] = out.get(key, 0) + w
+        result = Poly._make(n, out, den)
+        return result.constant_term() if xi_point is not None and z_point is not None else result
 
     def _divide_monomial(self, side: int, k: MultiIndex) -> "Poly":
-        """Exact division by x^k (side 0) or z^k (side 1); raises ValueError
-        if any term is not divisible."""
-        if len(k) != self.n:
-            raise ValueError(f"multi-index length {len(k)} != dimension {self.n}")
-        out: dict[TermKey, Fraction] = {}
-        for (xe, ze), c in self.terms.items():
-            if not mi_le(k, (xe, ze)[side]):
-                raise ValueError(f"term x^{xe} z^{ze} not divisible by {'xz'[side]}^{k}")
-            out[(mi_sub(xe, k), ze) if side == 0 else (xe, mi_sub(ze, k))] = c
-        return Poly._canonical(self.n, out)
+        """Exact division by x^k (side 0) or z^k (side 1); ValueError unless every term divides."""
+        n = self.n
+        if len(k) != n:
+            raise ValueError(f"multi-index length {len(k)} != dimension {n}")
+        shift = (0,) * (side * n) + tuple(k) + (0,) * ((1 - side) * n)
+        out: dict[MultiIndex, int] = {}
+        for key, v in self.nums.items():
+            if not mi_le(shift, key):
+                raise ValueError(f"term x^{key[:n]} z^{key[n:]} not divisible by {'xz'[side]}^{k}")
+            out[tuple(map(sub, key, shift))] = v
+        return Poly._make(n, out, self.den)
 
     def divide_xi_monomial(self, k: MultiIndex) -> "Poly":
         """Exact division by x^k; raises ValueError if any term is not divisible."""
@@ -396,21 +394,44 @@ class Poly:
         return f"Poly(n={self.n}, {{{items}}})"
 
 
+class _Terms(Mapping):
+    """The Fraction view behind ``Poly.terms``, read off nums and den per lookup."""
+
+    def __init__(self, p: Poly) -> None:
+        self._p = p
+
+    def __len__(self) -> int:
+        return len(self._p.nums)
+
+    def __iter__(self) -> Iterator[TermKey]:
+        return ((k[:self._p.n], k[self._p.n:]) for k in self._p.nums)
+
+    def __getitem__(self, key: TermKey) -> Fraction:
+        xe, ze = key
+        if len(xe) != self._p.n or len(ze) != self._p.n or (*xe, *ze) not in self._p.nums:
+            raise KeyError(key)
+        return Fraction(self._p.nums[(*xe, *ze)], self._p.den)
+
+
+@cache
+def _variable_names(n: int) -> tuple[str, ...]:
+    """x1..xn, z1..zn: the variable at each position of a flat key."""
+    return tuple(f"{letter}{i}" for letter in "xz" for i in range(1, n + 1))
+
+
 def format_poly(p: Poly) -> str:
     """Canonical text form; round-trips through parse_poly exactly."""
     if p.is_zero():
         return "0"
-    names = [f"{letter}{i}" for letter in "xz" for i in range(1, p.n + 1)]
+    names = _variable_names(p.n)
     pieces = []
-    for (xe, ze), coeff in p.sorted_terms():
-        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, xe + ze) if e]
-        num, den = coeff.numerator, coeff.denominator
-        magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    for key in sorted(p.nums, key=lambda k: (sum(k), k), reverse=True):  # graded lex
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, key) if e]
+        num = p.nums[key]
+        g = gcd(num, p.den)
+        magnitude = str(abs(num) // g) if g == p.den else f"{abs(num) // g}/{p.den // g}"
         if magnitude != "1" or not factors:
             factors.insert(0, magnitude)
-        term = "*".join(factors)
-        if not pieces:
-            pieces.append(term if num > 0 else f"-{term}")
-        else:
-            pieces.append(f"{' + ' if num > 0 else ' - '}{term}")
+        sign = (" + " if num > 0 else " - ") if pieces else ("" if num > 0 else "-")
+        pieces.append(sign + "*".join(factors))
     return "".join(pieces)

@@ -24,9 +24,16 @@ class InternalFault(RuntimeError):
 
 
 def _text(value: object) -> str:
+    if type(value) is str:
+        return value
     if isinstance(value, tuple):
         return ",".join(map(str, value))
     return format_poly(value) if isinstance(value, Poly) else str(value)
+
+
+def _fields(params: dict[str, object]) -> tuple[tuple[str, str], ...]:
+    """Keyword parameters, packed once by the caller, rendered in order."""
+    return tuple([(k, _text(v)) for k, v in params.items()])
 
 
 @dataclass(frozen=True)
@@ -39,7 +46,7 @@ class OutputRecord:
     @classmethod
     def of(cls, kind: str, verdict: str, payload: object = "", **params: object) -> OutputRecord:
         """The record with each parameter and the payload rendered as text."""
-        return cls(kind, tuple((k, _text(v)) for k, v in params.items()), verdict, _text(payload))
+        return cls(kind, _fields(params), verdict, _text(payload))
 
     def line(self) -> str:
         params = "".join(f"\t{k}={v}" for k, v in self.params)
@@ -56,7 +63,8 @@ class Report:
     def add(self, kind: str, passed: bool, payload: object = "", **params: object) -> None:
         """Append one pass/fail record and fold its verdict into ``ok``."""
         self.ok = self.ok and passed
-        self.records.append(OutputRecord.of(kind, "pass" if passed else "fail", payload, **params))
+        verdict = "pass" if passed else "fail"
+        self.records.append(OutputRecord(kind, _fields(params), verdict, _text(payload)))
 
     @property
     def first_failure(self) -> OutputRecord | None:

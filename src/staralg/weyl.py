@@ -86,20 +86,21 @@ class WeylOp:
             raise ValueError(f"dimension mismatch: {self.n} vs {p.n}")
         if not p.is_z_only():
             raise ValueError("operand must lie in Q[z]")
+        n, symbol = self.n, self.symbol
         partials = _z_partials(p, self._reach())
-        return Poly.sum(self.n, (Poly.z_monomial(self.n, ze, c) * partials[xe]
-                                 for (xe, ze), c in self.symbol.terms.items() if xe in partials))
+        return Poly.sum(n, (Poly.z_monomial(n, k[n:], c) * partials[k[:n]]
+                            for k, c in symbol.nums.items() if k[:n] in partials)) / symbol.den
 
     def compose(self, other: "WeylOp") -> "WeylOp":
         """Operator composition self o other: the symbol product
         sum_g (1/g!) dx^g sigma(self) * dz^g sigma(other)."""
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        partials = _z_partials(other.symbol, self._reach())
-        return WeylOp(Poly.sum(self.n, (
-            Poly.monomial(self.n, mi_sub(xe, gamma), ze, c * mi_binomial(xe, gamma)) * db
-            for (xe, ze), c in self.symbol.terms.items()
-            for gamma, db in partials.items() if mi_le(gamma, xe))))
+        n, partials = self.n, _z_partials(other.symbol, self._reach())
+        return WeylOp(Poly.sum(n, (
+            Poly.monomial(n, mi_sub(k[:n], gamma), k[n:], c * mi_binomial(k[:n], gamma)) * db
+            for k, c in self.symbol.nums.items()
+            for gamma, db in partials.items() if mi_le(gamma, k[:n]))) / self.symbol.den)
 
     def compose_pow(self, m: int) -> "WeylOp":
         """m-fold composition power; m = 0 yields the identity."""
@@ -112,7 +113,7 @@ class WeylOp:
 
     def _reach(self) -> MultiIndex:
         """Componentwise maximum derivative exponent."""
-        return tuple(map(max, zip(mi_zero(self.n), *(xe for xe, _ in self.symbol.terms))))
+        return tuple(map(max, zip(mi_zero(self.n), *(k[:self.n] for k in self.symbol.nums))))
 
 
 def _z_partials(c: Poly, reach: MultiIndex) -> dict[MultiIndex, Poly]:
@@ -154,9 +155,10 @@ def from_left_symbol(p: Poly) -> WeylOp:
     Goes through ``compose`` rather than through the flow map, so the two
     symbol routes stay independently testable.
     """
-    return WeylOp(Poly.sum(p.n, (
-        WeylOp(Poly.xi_monomial(p.n, xe)).compose(WeylOp(Poly.z_monomial(p.n, ze, c))).symbol
-        for (xe, ze), c in p.terms.items())))
+    n = p.n
+    return WeylOp(Poly.sum(n, (
+        WeylOp(Poly.xi_monomial(n, k[:n])).compose(WeylOp(Poly.z_monomial(n, k[n:], c))).symbol
+        for k, c in p.nums.items())) / p.den)
 
 
 def interchange_check(n: int, degmax: int) -> Report:

@@ -446,3 +446,22 @@ def test_unbuffered_help_into_a_closed_stdout_exits_quietly(argv):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("suite", ["ortho", "ode", "even", "interchange", "oracles"])
+def test_negative_sizes_are_refused(capsys, suite):
+    # these suites used to print nothing and exit 0 for sizes below 0
+    code, out, err = run_cli(capsys, "check", "--suite", suite, "--degmax=-1", "--mmax=-1",
+                             "--kmax=-1", "--order=-1", "--count=0")
+    assert (code, out, err) == (2, "", "staralg: error: --degmax -1 is below the limit 0\n")
+
+
+@pytest.mark.parametrize("name", [*SIZE_LIMITS])
+def test_each_size_option_is_refused_below_zero_and_accepted_at_zero(capsys, name):
+    flag = name.replace("_", "-")
+    argv = (["mathieu", "--oracle", "image", "--n", "1", "--f", "1", "--b", "1"]
+            if name == "degree_cap" else ["check", "--suite", "ode", "--mmax", "1", "--kmax", "1"])
+    code, out, err = run_cli(capsys, *argv, f"--{flag}=-1")
+    assert (code, out, err) == (2, "", f"staralg: error: --{flag} -1 is below the limit 0\n")
+    code, out, err = run_cli(capsys, *argv, f"--{flag}=0")
+    assert code == 0 and out and not err

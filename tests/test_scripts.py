@@ -37,3 +37,16 @@ def test_mathieu_power_scan_matches_the_cli(monkeypatch, capsys):
         assert main(["mathieu", "--oracle", "image", "--n", "2", "--f", f.removeprefix("f="),
                      "--b", "z1"]) == 0
         assert record in capsys.readouterr().out.splitlines()
+
+
+def test_verify_identities_refuses_what_the_cli_refuses(monkeypatch, capsys):
+    # --n 0 used to end in a ValueError traceback; the ode suite's record count
+    # is over the budget, so no suite may run, not even the two before it
+    for bounds in (["--n", "0"], ["--degmax=-1"], ["--mmax", "200", "--kmax", "100"]):
+        code, out, err = run_script("verify_identities.py", ["--quiet", *bounds],
+                                    monkeypatch, capsys)
+        suite = "ode" if "--mmax" in bounds else "ortho"
+        assert main(["check", "--suite", suite, *bounds]) == 2
+        cli_err = capsys.readouterr().err
+        assert cli_err.startswith("staralg: error: ")
+        assert (code, out, err) == (2, "", cli_err)
