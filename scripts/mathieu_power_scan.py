@@ -5,7 +5,10 @@ For every monomial multiple of an x variable up to --degmax, run a star-power
 experiment against the image-membership oracle at the given t and print one
 record line per (candidate, m).  This is evidence collection at a truncated
 range, not a proof procedure; curate more interesting candidates by editing
---b or piping candidates through the staralg CLI instead.
+--b or piping candidates through the staralg CLI instead.  Records are printed
+as each candidate's experiment computes them: if a candidate's powers outgrow
+--degree-cap, the scan aborts with exit 1, and the records of the candidates
+before it stay printed.
 """
 
 import argparse
@@ -29,20 +32,20 @@ def main() -> int:
     args = parser.parse_args()
 
     b = parse_poly(args.b, args.n) if args.b is not None else None
+    candidates = stable = 0
     try:
-        reports = basis_power_scan(Fraction(args.t), args.n, args.degmax,
-                                   args.mmax, b=b, degree_cap=args.degree_cap)
+        for f, records in basis_power_scan(Fraction(args.t), args.n, args.degmax,
+                                           args.mmax, b=b, degree_cap=args.degree_cap):
+            verdict = None
+            for record in records:
+                print(f"f={format_poly(f)}\t{record.line()}")
+                verdict = record.verdict
+            candidates += 1
+            stable += verdict == "member"  # every product from some m on is a member
     except DegreeCapExceeded as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 1
-
-    stable = 0
-    for report in reports:
-        for record in report.records():
-            print(f"f={format_poly(report.f)}\t{record.line()}")
-        if report.first_stable_n is not None:
-            stable += 1
-    print(f"# candidates={len(reports)} with_stable_tail={stable} "
+    print(f"# candidates={candidates} with_stable_tail={stable} "
           f"mmax={args.mmax} t={args.t}", file=sys.stderr)
     return 0
 

@@ -35,13 +35,13 @@ def main() -> int:
         return 2
     all_ok = True
     for name, run, suite_args in runs:
-        report = run(suite_args, _weight(suite_args))
-        if not args.quiet:
-            for record in report.records:
+        count, ok = 0, True  # each record is printed as it is computed
+        for record in run(suite_args, _weight(suite_args)):
+            count, ok = count + 1, ok and record.verdict == "pass"
+            if not args.quiet:
                 print(record.line())
-        status = "ok" if report.ok else "FAIL"
-        print(f"# suite={name} records={len(report.records)} {status}", file=sys.stderr)
-        all_ok = all_ok and report.ok
+        print(f"# suite={name} records={count} {'ok' if ok else 'FAIL'}", file=sys.stderr)
+        all_ok = all_ok and ok
     return 0 if all_ok else 1
 
 

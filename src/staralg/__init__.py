@@ -49,7 +49,6 @@ from .laguerre import (
 )
 from .mathieu import (
     DegreeCapExceeded,
-    ExperimentReport,
     MembershipOracle,
     OracleDisagreement,
     basis_power_scan,
@@ -61,7 +60,7 @@ from .mathieu import (
     power_experiment,
 )
 from .poly import Degree, MultiIndex, Poly, format_poly
-from .report import InternalFault, OutputRecord, Report
+from .report import InternalFault, OutputRecord
 from .syntax import ParseError, parse_poly, parse_weyl
 from .weyl import (
     WeylOp,
@@ -75,7 +74,6 @@ from .weyl import (
 __all__ = [
     "Degree",
     "DegreeCapExceeded",
-    "ExperimentReport",
     "InternalFault",
     "LaguerreSpec",
     "MembershipOracle",
@@ -84,7 +82,6 @@ __all__ = [
     "OutputRecord",
     "ParseError",
     "Poly",
-    "Report",
     "StarContext",
     "StarTaylor",
     "WeylOp",

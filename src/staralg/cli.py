@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Every subcommand prints deterministic output: identical argv yields
-byte-identical bytes on stdout.  Each handler returns its lines and exit code
-and prints nothing; `main` is the one writer of stdout and maps every exit
-code: 0 on success, 1 when a check suite fails or an experiment aborts on the
-degree cap, 2 on usage errors including malformed expressions, 3 on internal
-faults, 141 on a closed stdout.
+byte-identical bytes on stdout.  Each handler prints nothing and returns an
+iterable of lines or records, which check suites and experiments compute one
+at a time; `main` is the one writer of stdout.  It writes each line as it
+arrives, so `check ... | head` stops the work, and maps every exit code: 0 on
+success, 1 when a check record fails or an experiment aborts on the degree
+cap (checked before the first record, so nothing is printed), 2 on usage
+errors including malformed expressions, 3 on internal faults (the records
+written before the fault stay on stdout), 141 on a closed stdout.
 
 Resource limits, refused with exit 2 before anything is built: --n is in
 1..MAX_N, each size option in 0..its entry in SIZE_LIMITS (check_limits),
@@ -28,6 +31,7 @@ import os
 import sys
 from fractions import Fraction
 from math import comb
+from typing import Iterable
 
 from . import mathieu
 from .deform import StarContext, star, star_taylor
@@ -45,7 +49,7 @@ from .laguerre import (
     star_exp_check,
 )
 from .poly import MultiIndex, format_poly, grlex_key, mi_zero
-from .report import InternalFault
+from .report import InternalFault, OutputRecord
 from .syntax import ParseError, parse_poly, parse_weyl
 from .weyl import (
     from_left_symbol,
@@ -222,43 +226,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_star(args) -> tuple[list[str], int]:
+def _cmd_star(args) -> Iterable[str]:
     ctx = StarContext(args.n, _parse_fraction(args.t))
     f = parse_poly(args.f, args.n)
     g = parse_poly(args.g, args.n)
-    return [format_poly(star(ctx, f, g))], 0
+    return [format_poly(star(ctx, f, g))]
 
 
-def _cmd_phi(args) -> tuple[list[str], int]:
+def _cmd_phi(args) -> Iterable[str]:
     t = _parse_fraction(args.t)
     ctx = StarContext(args.n, -t if args.inverse else t)
-    return [format_poly(phi_map(ctx, parse_poly(args.f, args.n)))], 0
+    return [format_poly(phi_map(ctx, parse_poly(args.f, args.n)))]
 
 
-def _cmd_taylor(args) -> tuple[list[str], int]:
+def _cmd_taylor(args) -> Iterable[str]:
     ctx = StarContext(args.n, _parse_fraction(args.t))
     coefficients = star_taylor(ctx, parse_poly(args.f, args.n)).coefficients
     alphas = sorted(coefficients, key=lambda a: grlex_key((a, mi_zero(args.n))))
-    return [f"alpha={','.join(map(str, a))}\ta={format_poly(coefficients[a])}" for a in alphas], 0
+    return [f"alpha={','.join(map(str, a))}\ta={format_poly(coefficients[a])}" for a in alphas]
 
 
-def _cmd_symbol(args) -> tuple[list[str], int]:
+def _cmd_symbol(args) -> Iterable[str]:
     parse, operator, symbol = SYMBOL_ROUTES[args.dir]
-    return [format_poly(symbol(operator(parse(args.input, args.n))))], 0
+    return [format_poly(symbol(operator(parse(args.input, args.n))))]
 
 
-def _cmd_apply(args) -> tuple[list[str], int]:
+def _cmd_apply(args) -> Iterable[str]:
     op = parse_weyl(args.op, args.n)
     p = parse_poly(args.poly, args.n)
     if not p.is_z_only():
         raise UsageError("--poly must involve only the z variables")
-    return [format_poly(op.apply(p))], 0
+    return [format_poly(op.apply(p))]
 
 
-def _cmd_laguerre(args) -> tuple[list[str], int]:
+def _cmd_laguerre(args) -> Iterable[str]:
     alpha = _parse_multiindex(args.alpha, args.n, "alpha")
     k = _parse_multiindex(args.k, args.n, "k")
-    return [format_poly(LAGUERRE_ROUTES[args.via](LaguerreSpec(alpha, k)))], 0
+    return [format_poly(LAGUERRE_ROUTES[args.via](LaguerreSpec(alpha, k)))]
 
 
 def _suite_records(args) -> int:
@@ -282,12 +286,11 @@ def check_limits(args) -> None:
                          f"above the budget {RECORD_BUDGET}")
 
 
-def _cmd_check(args) -> tuple[list[str], int]:
-    report = SUITES[args.suite][0](args, _weight(args))
-    return [record.line() for record in report.records], 0 if report.ok else 1
+def _cmd_check(args) -> Iterable[OutputRecord]:
+    return SUITES[args.suite][0](args, _weight(args))
 
 
-def _cmd_mathieu(args) -> tuple[list[str], int]:
+def _cmd_mathieu(args) -> Iterable[OutputRecord]:
     f = parse_poly(args.f, args.n)
     b = parse_poly(args.b, args.n)
     if args.oracle == "image":
@@ -298,11 +301,12 @@ def _cmd_mathieu(args) -> tuple[list[str], int]:
         power_kind = "ordinary"
         if not f.is_z_only() or not b.is_z_only():
             raise UsageError("the laguerre oracle needs f and b in the z variables only")
-    report = mathieu.power_experiment(oracle, f, b, args.mmax, power_kind,
-                                      degree_cap=args.degree_cap)
-    return [record.line() for record in report.records()], 0
+    return mathieu.power_experiment(oracle, f, b, args.mmax, power_kind,
+                                    degree_cap=args.degree_cap)
 
 
+# Each handler returns lines of text or records; main writes them one at a
+# time, and a record whose verdict is fail makes the exit code 1.
 _HANDLERS = {
     "star": _cmd_star,
     "phi": _cmd_phi,
@@ -328,8 +332,13 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("stdin '-' may be used for at most one argument")
         for name in dashes:
             setattr(args, name, sys.stdin.read())
-        lines, code = _HANDLERS[args.command](args)
-        sys.stdout.writelines(line + "\n" for line in lines)
+        code = 0
+        for item in _HANDLERS[args.command](args):
+            if type(item) is not str:
+                if item.verdict == "fail":
+                    code = 1
+                item = item.line()
+            sys.stdout.write(item + "\n")
         sys.stdout.flush()  # here, not at interpreter exit, so a closed pipe still exits 141
         return code
     except (UsageError, ParseError, ValueError) as exc:

@@ -17,8 +17,9 @@ weight z^k exp(-sum z_i) is integrated termwise through factorial moments,
 in integers over one common denominator, never by quadrature, so every
 identity here is checked with zero tolerance.
 
-The check_* style functions return a Report of machine-readable records;
-the small boolean verifiers return plain bools.
+The check_* style functions are generators of machine-readable records,
+each built as its case is decided; the small boolean verifiers return plain
+bools.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .deform import StarContext, star_monomial
 from .poly import (
@@ -37,7 +38,7 @@ from .poly import (
     mi_add,
     mi_factorial,
 )
-from .report import InternalFault, Report
+from .report import InternalFault, OutputRecord, check
 from .series import USeries
 
 
@@ -192,16 +193,14 @@ def integrate_weight_xi(p: Poly, xi_point: Sequence[Scalar]) -> Fraction:
 # Identity verifiers
 # ---------------------------------------------------------------------------
 
-def generating_check(kmax: int, order: int) -> Report:
+def generating_check(kmax: int, order: int) -> Iterator[OutputRecord]:
     """Coefficient m of the generating series for weight k equals L_m^[k],
     for 0 <= k <= kmax and 0 <= m <= order; records run k-major."""
     if kmax < 0 or order < 0:
         raise ValueError(f"kmax and order must be >= 0, got kmax={kmax}, order={order}")
-    report = Report()
     for k, series in enumerate(_genfun_series(kmax, order, Poly.z_var(1, 1))):
         for m, got in enumerate(series.coeffs):
-            report.add("genfun", got == laguerre1(m, k), got, k=k, m=m)
-    return report
+            yield check("genfun", got == laguerre1(m, k), got, k=k, m=m)
 
 
 def identity_dk_check(m: int, k: int) -> bool:
@@ -210,34 +209,30 @@ def identity_dk_check(m: int, k: int) -> bool:
     return derived == laguerre1(m, k)
 
 
-def recurrence_check(mmax: int) -> Report:
+def recurrence_check(mmax: int) -> Iterator[OutputRecord]:
     """Three-term recurrence and derivative recurrence for 1 <= m <= mmax."""
     if mmax < 1:
         raise ValueError(f"mmax must be >= 1, got {mmax}")
     z = Poly.z_var(1, 1)
     ladder = [laguerre1(m, 0) for m in range(mmax + 2)]
-    report = Report()
     for m in range(1, mmax + 1):
         three_term = ladder[m + 1] * (m + 1) == (Poly.const(1, 2 * m + 1) - z) * ladder[m] - ladder[m - 1] * m
         derivative = z * ladder[m].d_z(1) == (ladder[m] - ladder[m - 1]) * m
         for name, passed in (("three_term", three_term), ("derivative", derivative)):
-            report.add("recur", passed, m=m, relation=name)
-    return report
+            yield check("recur", passed, m=m, relation=name)
 
 
-def ode_check(mmax: int, kmax: int) -> Report:
+def ode_check(mmax: int, kmax: int) -> Iterator[OutputRecord]:
     """z f'' + (k + 1 - z) f' + m f vanishes identically for f = L_m^[k]."""
     z = Poly.z_var(1, 1)
-    report = Report()
     for m in range(mmax + 1):
         for k in range(kmax + 1):
             f = laguerre1(m, k)
             residual = z * f.d_z(1).d_z(1) + (Poly.const(1, k + 1) - z) * f.d_z(1) + f * m
-            report.add("ode", residual.is_zero(), residual, m=m, k=k)
-    return report
+            yield check("ode", residual.is_zero(), residual, m=m, k=k)
 
 
-def star_exp_check(k: MultiIndex, order: int) -> Report:
+def star_exp_check(k: MultiIndex, order: int) -> Iterator[OutputRecord]:
     """Truncated generating identity for the star-built family.
 
     Per coordinate, the u-series of exp(-(x1 z1) u/(1-u)) / (1-u)^(k_i+1)
@@ -246,19 +241,17 @@ def star_exp_check(k: MultiIndex, order: int) -> Report:
     """
     k = tuple(k)
     n = len(k)
-    report = Report()
     series = _genfun_series(max(k, default=0), order, Poly.xi_var(1, 1) * Poly.z_var(1, 1))
     one_var = {}  # (m, k_i) -> the one-variable star construction
     for i, kk in enumerate(k, start=1):
         for m, got in enumerate(series[kk].coeffs):
             one_var[m, kk] = want = laguerre_star(LaguerreSpec((m,), (kk,)))
-            report.add("starexp", got == want, got, k=k, coordinate=i, m=m)
+            yield check("starexp", got == want, got, k=k, coordinate=i, m=m)
     if n > 1:
         for alpha in iter_multiindices(n, order):
             product = _coordinatewise([one_var[a, kk] for a, kk in zip(alpha, k)])
-            report.add("starexp", product == laguerre_star(LaguerreSpec(alpha, k)), product,
-                       k=k, coordinate="all", m=alpha)
-    return report
+            yield check("starexp", product == laguerre_star(LaguerreSpec(alpha, k)), product,
+                        k=k, coordinate="all", m=alpha)
 
 
 def even_identity_check(alpha: MultiIndex, beta: MultiIndex) -> bool:
@@ -274,46 +267,37 @@ def even_identity_check(alpha: MultiIndex, beta: MultiIndex) -> bool:
     return left == right
 
 
-def even_identity_report(n: int, degmax: int) -> Report:
+def even_identity_report(n: int, degmax: int) -> Iterator[OutputRecord]:
     """Run even_identity_check over all index pairs with |alpha|, |beta| <= degmax."""
-    report = Report()
     for alpha in iter_multiindices(n, degmax):
         for beta in iter_multiindices(n, degmax):
-            report.add("even", even_identity_check(alpha, beta), alpha=alpha, beta=beta)
-    return report
+            yield check("even", even_identity_check(alpha, beta), alpha=alpha, beta=beta)
 
 
-def orthogonality_check(n: int, k: MultiIndex, degmax: int) -> Report:
+def orthogonality_check(n: int, k: MultiIndex, degmax: int) -> Iterator[OutputRecord]:
     """Pairwise weight integrals reproduce delta_{ab} (a+k)!/a! exactly."""
     k = tuple(k)
     if len(k) != n:
         raise ValueError(f"weight index length {len(k)} != dimension {n}")
     basis = list(iter_multiindices(n, degmax))
     polys = {a: laguerre(LaguerreSpec(a, k)) for a in basis}
-    report = Report()
     for a in basis:
         for b in basis:
             got = integrate_weight(polys[a] * polys[b], k)
             want = Fraction(mi_factorial(mi_add(a, k)), mi_factorial(a)) if a == b else Fraction(0)
-            report.add("ortho", got == want, got, alpha=a, beta=b, k=k)
-    return report
+            yield check("ortho", got == want, got, alpha=a, beta=b, k=k)
 
 
-def xi_orthogonality_check(xi_point: Sequence[Scalar], degmax: int) -> Report:
+def xi_orthogonality_check(xi_point: Sequence[Scalar], degmax: int) -> Iterator[OutputRecord]:
     """At a fixed positive rational xi, the polynomials x^a star z^a evaluated
     there stay orthogonal with squared norm (a!)^2."""
     point = tuple(Fraction(v) for v in xi_point)
     n = len(point)
     ctx = StarContext(n, Fraction(1))
     basis = list(iter_multiindices(n, degmax))
-    evaluated = {
-        a: star_monomial(ctx, a, a).evaluate(xi_point=point)
-        for a in basis
-    }
-    report = Report()
+    evaluated = {a: star_monomial(ctx, a, a).evaluate(xi_point=point) for a in basis}
     for a in basis:
         for b in basis:
             got = integrate_weight_xi(evaluated[a] * evaluated[b], point)
             want = Fraction(mi_factorial(a)) ** 2 if a == b else Fraction(0)
-            report.add("ortho_xi", got == want, got, alpha=a, beta=b, xi=point)
-    return report
+            yield check("ortho_xi", got == want, got, alpha=a, beta=b, xi=point)

@@ -16,8 +16,9 @@ polynomials for a fixed weight k: by orthogonality that holds iff the plain
 weight integral of p vanishes.
 
 The power-experiment harness computes star (or ordinary) powers f^m for
-m = 1..mmax, records membership of each power and of b*f^m, and reports the
-first stable tail index if one appears in range.  Star powers are computed
+m = 1..mmax and yields one record per m, the membership of the power and of
+b*f^m, as each is computed; it checks the degree cap for every m before the
+first record, so an abort on the cap prints nothing.  Star powers are computed
 in flow coordinates, where phi_t turns star_t into the ordinary product and
 x_i - t dz_i into x_i, so the image into the ideal (x): image_ev0 reads its
 verdicts there, the other oracles and the payloads in original coordinates.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .deform import StarContext, phi, star_ev0
 from .laguerre import integrate_weight
@@ -39,7 +41,7 @@ from .poly import (
     compositions,
     iter_multiindices,
 )
-from .report import InternalFault, OutputRecord, Report
+from .report import InternalFault, OutputRecord, check
 
 DEFAULT_DEGREE_CAP = 40
 
@@ -136,52 +138,26 @@ class MembershipOracle:
         return in_laguerre_span(p, self.k)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    """Outcome of one bounded power experiment.
-
-    ``power_member[m-1]`` records membership of f^m, ``product_member[m-1]``
-    that of b*f^m (products taken in the matching algebra, kept in
-    ``products``).  first_stable_n is the least N with b*f^m a member for
-    every N <= m <= mmax, or None if even the last product fails.
-    """
-
-    oracle: MembershipOracle
-    f: Poly
-    b: Poly
-    mmax: int
-    power_kind: str
-    power_member: tuple[bool, ...]
-    product_member: tuple[bool, ...]
-    products: tuple[Poly, ...]
-    first_stable_n: int | None
-
-    def records(self) -> list[OutputRecord]:
-        oracle = self.oracle
-        param = {"k": oracle.k} if oracle.kind == "laguerre_span" else {"t": oracle.t}
-        return [OutputRecord.of("mathieu", _membership(product_in), product, oracle=oracle.kind,
-                                **param, m=m, power=_membership(power_in))
-                for m, (power_in, product_in, product) in enumerate(
-                    zip(self.power_member, self.product_member, self.products), start=1)]
-
-
 def _membership(member: bool) -> str:
     return "member" if member else "nonmember"
 
 
 def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
                      power_kind: str,
-                     degree_cap: int = DEFAULT_DEGREE_CAP) -> ExperimentReport:
+                     degree_cap: int = DEFAULT_DEGREE_CAP) -> Iterator[OutputRecord]:
     """Probe the Mathieu property of the oracle's subspace at truncated range.
 
+    Yields one record per m = 1..mmax: its verdict is the membership of
+    b*f^m, its power field that of f^m, its payload the product b*f^m.  The
+    products are members from some m on iff the last verdict is member.
     power_kind "star" pairs with the image oracles (powers and the b-product
     taken with star_t); "ordinary" pairs with the Laguerre-span oracle.
     Powers and products are ordinary products in flow coordinates (phi_t;
     the identity for ordinary powers).  image_ev0 reads its verdicts there,
     as star_ev0(phi_{-t} F) = F at x = 0; only the payload, and the other
     oracles, get them mapped back by phi_{-t}.
-    Raises DegreeCapExceeded, before building it, if an intermediate power or
-    product would outgrow degree_cap, and OracleDisagreement if an
+    Raises DegreeCapExceeded before the first record if any power or product
+    up to mmax would outgrow degree_cap, and OracleDisagreement if an
     image-oracle verdict contradicts the closed form.
     """
     if mmax < 1:
@@ -205,20 +181,20 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
     f_in = star_ev0(ctx, f).is_zero()
     closed_form = (f_in, f_in or star_ev0(ctx, b).is_zero())
 
-    power_member = []
-    product_member = []
-    products = []
-    flow_power = Poly.const(f.n, 1)
     # phi preserves total degree, so the caps apply in flow coordinates; Q[x, z]
     # has no zero divisors, so deg f^m = m deg f and deg b*f^m = deg b + m deg f
-    # unless a factor is zero
+    # unless a factor is zero.  Every m is checked before the first record.
     deg_f, deg_b = flow_f.degree().total, flow_b.degree().total
     for m in range(1, mmax + 1):
         deg_power = ZERO_DEGREE.total if f.is_zero() else m * deg_f
         _check_degree_cap(f"f^{m}", deg_power, degree_cap)
-        flow_power = flow_power * flow_f
         deg_product = ZERO_DEGREE.total if f.is_zero() or b.is_zero() else deg_b + deg_power
         _check_degree_cap(f"b*f^{m}", deg_product, degree_cap)
+    param = {"k": oracle.k} if oracle.kind == "laguerre_span" else {"t": oracle.t}
+
+    flow_power = Poly.const(f.n, 1)
+    for m in range(1, mmax + 1):
+        flow_power = flow_power * flow_f
         flow_product = flow_b * flow_power
         product = phi(back, flow_product)
         if oracle.kind == "image_ev0":
@@ -228,18 +204,8 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
         if power_kind == "star" and verdicts != closed_form:
             raise OracleDisagreement(f"oracle {oracle.kind} at m={m} gives (power, product) "
                                      f"membership {verdicts}, star_ev0 gives {closed_form}")
-        power_member.append(verdicts[0])
-        product_member.append(verdicts[1])
-        products.append(product)
-
-    last_miss = max((m for m, ok in enumerate(product_member, 1) if not ok), default=0)
-    first_stable = last_miss + 1 if last_miss < mmax else None
-
-    return ExperimentReport(
-        oracle=oracle, f=f, b=b, mmax=mmax, power_kind=power_kind,
-        power_member=tuple(power_member), product_member=tuple(product_member),
-        products=tuple(products), first_stable_n=first_stable,
-    )
+        yield OutputRecord.of("mathieu", _membership(verdicts[1]), product, oracle=oracle.kind,
+                              **param, m=m, power=_membership(verdicts[0]))
 
 
 def _x_divisible(p: Poly) -> bool:
@@ -274,46 +240,42 @@ def _random_exponent(rng: random.Random, n: int, total: int) -> MultiIndex:
 
 
 def oracle_equivalence_scan(t: Fraction, n: int, degmax: int,
-                            random_count: int = 20, seed: int = 0) -> Report:
+                            random_count: int = 20, seed: int = 0) -> Iterator[OutputRecord]:
     """Cross-validate the two image oracles on the monomial basis up to
     degmax plus seeded random combinations."""
     ctx = StarContext(n, Fraction(t))
-    report = Report()
 
-    def probe(p: Poly, source: str) -> None:
+    def probe(p: Poly, source: str) -> OutputRecord:
         via_ev0 = in_image_ev0(ctx, p)
         via_linear = in_image_linear(ctx, p)
-        report.add("oracles", via_ev0 == via_linear, p, t=ctx.t, source=source,
-                   ev0=_membership(via_ev0), linear=_membership(via_linear))
+        return check("oracles", via_ev0 == via_linear, p, t=ctx.t, source=source,
+                     ev0=_membership(via_ev0), linear=_membership(via_linear))
 
     for total in range(degmax + 1):
         for xe in iter_multiindices(n, total):
             for ze in compositions(n, total - sum(xe)):
-                probe(Poly.monomial(n, xe, ze), "monomial")
+                yield probe(Poly.monomial(n, xe, ze), "monomial")
     rng = random.Random(seed)
     for _ in range(random_count):
-        probe(random_poly(rng, n, degmax), "random")
-    return report
+        yield probe(random_poly(rng, n, degmax), "random")
 
 
 def basis_power_scan(t: Fraction, n: int, degmax: int, mmax: int,
                      b: Poly | None = None,
-                     degree_cap: int = DEFAULT_DEGREE_CAP) -> list[ExperimentReport]:
-    """Enumeration mode: run a power experiment for every monomial multiple
-    of an x variable up to degmax as the candidate f.
+                     degree_cap: int = DEFAULT_DEGREE_CAP
+                     ) -> Iterator[tuple[Poly, Iterator[OutputRecord]]]:
+    """Enumeration mode: for every monomial multiple of an x variable up to
+    degmax as the candidate f, yield f and its power experiment's records.
 
     Candidate curation beyond this basis sweep is left to the caller.
     """
     oracle = MembershipOracle("image_ev0", t=Fraction(t))
     if b is None:
         b = Poly.z_var(n, 1)
-    reports = []
     for total in range(degmax + 1):
         for xe in iter_multiindices(n, total):
             if sum(xe) == 0:
                 continue  # candidates come from the x-generated ideal
             for ze in compositions(n, total - sum(xe)):
                 f = Poly.monomial(n, xe, ze)
-                reports.append(power_experiment(oracle, f, b, mmax, "star",
-                                                degree_cap=degree_cap))
-    return reports
+                yield f, power_experiment(oracle, f, b, mmax, "star", degree_cap=degree_cap)

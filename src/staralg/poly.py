@@ -158,6 +158,10 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self.n, self.den, frozenset(self.nums.items())))
 
+    def __reduce__(self):
+        # the read-only view cannot be pickled; rebuild it from a plain dict
+        return (Poly._make, (self.n, dict(self.nums), self.den))
+
     @property
     def terms(self) -> Mapping[TermKey, Fraction]:
         """Read-only view: (x_exponent, z_exponent) -> nonzero Fraction."""

@@ -5,16 +5,23 @@ of tab-separated key=value fields in a fixed order:
 
     kind=<kind>  <param>=<value> ...  verdict=<verdict>  payload=<text>
 
-Producers pass raw values and ``OutputRecord.of`` renders each one by a
-single rule: a Poly prints canonically (``format_poly``), a tuple is
-comma-joined, anything else goes through ``str``.  Parameters keep keyword
-order.  Lines are deterministic for identical inputs, so logs are diffable
-and stream-processable.
+Producers pass raw values and ``OutputRecord.of`` (or ``check``, for a
+pass/fail case) renders each one by a single rule: a Poly prints canonically
+(``format_poly``), a tuple is comma-joined, anything else goes through
+``str``.  Parameters keep keyword order.  Lines are deterministic for
+identical inputs, so logs are diffable and stream-processable.
+
+Check suites and power experiments are generators: each record is written
+as it is computed, before the next one is, so nothing holds a whole run and
+a reader that stops early (``staralg check ... | head``) stops the work.  A
+power experiment checks its degree cap for every power before its first
+record, so an abort writes none; an internal fault mid-run (exit 3) leaves
+the records before it written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .poly import Poly, format_poly
 
@@ -53,22 +60,6 @@ class OutputRecord:
         return f"kind={self.kind}{params}\tverdict={self.verdict}\tpayload={self.payload}"
 
 
-@dataclass
-class Report:
-    """A batch of records plus the aggregate outcome set by the producer."""
-
-    records: list[OutputRecord] = field(default_factory=list)
-    ok: bool = True
-
-    def add(self, kind: str, passed: bool, payload: object = "", **params: object) -> None:
-        """Append one pass/fail record and fold its verdict into ``ok``."""
-        self.ok = self.ok and passed
-        verdict = "pass" if passed else "fail"
-        self.records.append(OutputRecord(kind, _fields(params), verdict, _text(payload)))
-
-    @property
-    def first_failure(self) -> OutputRecord | None:
-        for r in self.records:
-            if r.verdict == "fail":
-                return r
-        return None
+def check(kind: str, passed: bool, payload: object = "", **params: object) -> OutputRecord:
+    """The record of one check case: verdict pass or fail."""
+    return OutputRecord(kind, _fields(params), "pass" if passed else "fail", _text(payload))

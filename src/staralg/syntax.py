@@ -233,12 +233,16 @@ class _Parser:
         raise ParseError(f"unexpected {_describe(tok)}", tok.line, tok.column)
 
 
+_MODES = {"poly": _POLY, "weyl": _WEYL}
+
+
 def parse_expr(text: str, n: int, mode: str = "poly") -> Poly | WeylOp:
     """Parse text to its value: mode 'poly' admits x/z variables and builds a
-    Poly, 'weyl' admits z/d and builds a WeylOp."""
-    if mode == "poly":
-        return _Parser(text, n, _POLY).parse()
-    return WeylOp(_Parser(text, n, _WEYL).parse())
+    Poly, 'weyl' admits z/d and builds a WeylOp; any other mode is a ValueError."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown parse mode {mode!r}: expected 'poly' or 'weyl'")
+    value = _Parser(text, n, _MODES[mode]).parse()
+    return value if mode == "poly" else WeylOp(value)
 
 
 def parse_poly(text: str, n: int) -> Poly:

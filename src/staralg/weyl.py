@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .deform import StarContext, phi
 from .poly import (
@@ -35,7 +36,7 @@ from .poly import (
     mi_sub,
     mi_zero,
 )
-from .report import Report
+from .report import OutputRecord, check
 
 
 @dataclass(frozen=True)
@@ -161,22 +162,20 @@ def from_left_symbol(p: Poly) -> WeylOp:
         for k, c in p.nums.items())) / p.den)
 
 
-def interchange_check(n: int, degmax: int) -> Report:
+def interchange_check(n: int, degmax: int) -> Iterator[OutputRecord]:
     """Verify on the monomial basis that the symbol interchange maps equal
     the cross-Laplacian flows at parameter +1/-1.
 
-    Returns a Report with one record per (basis monomial, direction).  An l2r
-    record compares the compose route with phi_{+1}; an r2l record maps the
-    left symbol, which is phi_{-1} of the right one, back through phi_{+1},
-    so phi_{-1} is checked against a second flow and not against itself.
+    Yields one record per (basis monomial, direction).  An l2r record
+    compares the compose route with phi_{+1}; an r2l record maps the left
+    symbol, which is phi_{-1} of the right one, back through phi_{+1}, so
+    phi_{-1} is checked against a second flow and not against itself.
     """
     plus = StarContext(n, Fraction(1))
-    report = Report()
     for alpha in iter_multiindices(n, degmax):
         for beta in iter_multiindices(n, degmax - sum(alpha)):
             p = Poly.monomial(n, alpha, beta)
             got = right_symbol(from_left_symbol(p))
-            report.add("interchange", got == phi(plus, p), got, alpha=alpha, beta=beta, dir="l2r")
+            yield check("interchange", got == phi(plus, p), got, alpha=alpha, beta=beta, dir="l2r")
             got = left_symbol(from_right_symbol(p))
-            report.add("interchange", phi(plus, got) == p, got, alpha=alpha, beta=beta, dir="r2l")
-    return report
+            yield check("interchange", phi(plus, got) == p, got, alpha=alpha, beta=beta, dir="r2l")

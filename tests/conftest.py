@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 from staralg.poly import Poly
+from staralg.syntax import parse_poly
 
 # Reproducible runs (select with --hypothesis-profile=ci); example counts
 # stay as each test sets them.
@@ -75,3 +76,22 @@ def z_only_polys(draw, n=None, max_degree=3, max_terms=4, coeffs=coefficients):
 
 def small_t():
     return st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)])
+
+
+def all_pass(records):
+    """The records as a list, each asserted to pass; a failure names the
+    first failing line."""
+    records = list(records)
+    failed = next((r for r in records if r.verdict != "pass"), None)
+    assert failed is None, failed.line()
+    return records
+
+
+def experiment(records, n):
+    """A power experiment's (power, product) membership pair for each m, and
+    its payloads, the products b*f^m, parsed back to Poly."""
+    pairs, products = [], []
+    for record in records:
+        pairs.append((dict(record.params)["power"] == "member", record.verdict == "member"))
+        products.append(parse_poly(record.payload, n))
+    return tuple(pairs), tuple(products)

@@ -139,18 +139,18 @@ def star_power_loop(ctx: StarContext, f: Poly, m: int) -> Poly:
 
 
 def power_experiment_loop(oracle, f: Poly, b: Poly, mmax: int):
-    """(power memberships, product memberships, products) of a star power
-    experiment, every power and product taken with the double sum."""
+    """The (power, product) membership pair for each m of a star power
+    experiment, and the products, every power and product taken with the
+    double sum."""
     ctx = StarContext(f.n, oracle.t)
     power = Poly.const(f.n, 1)
-    power_member, product_member, products = [], [], []
+    pairs, products = [], []
     for _ in range(mmax):
         power = star_double_sum(ctx, power, f)
         product = star_double_sum(ctx, b, power)
-        power_member.append(oracle.contains(power))
-        product_member.append(oracle.contains(product))
+        pairs.append((oracle.contains(power), oracle.contains(product)))
         products.append(product)
-    return tuple(power_member), tuple(product_member), tuple(products)
+    return tuple(pairs), tuple(products)
 
 
 def compose_by_leibniz(a: WeylOp, b: WeylOp) -> WeylOp:

@@ -1,5 +1,6 @@
 """CLI: output contracts, exit codes, determinism."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,7 +21,9 @@ from staralg.cli import (
     build_parser,
     main,
 )
+from staralg import mathieu
 from staralg.mathieu import DegreeCapExceeded
+from staralg.report import OutputRecord
 from staralg.syntax import MAX_EXPONENT, MAX_NESTING
 
 
@@ -178,19 +181,60 @@ def test_mathieu_degree_cap_aborts(capsys):
     ["mathieu", "--oracle", "image", "--n", "1", "--f", "x1*z1", "--b", "z1", "--mmax", "2"],
 ], ids=lambda argv: argv[0])
 def test_handlers_return_what_main_writes(capsys, argv):
+    # a handler hands over lines or records and prints nothing; main writes
+    # one line per item and exits 1 iff a record's verdict is fail
     args = build_parser().parse_args(argv)
-    lines, code = _HANDLERS[args.command](args)
+    items = list(_HANDLERS[args.command](args))
     assert capsys.readouterr().out == ""
+    assert items and all(isinstance(item, (str, OutputRecord)) for item in items)
+    lines = [item if isinstance(item, str) else item.line() for item in items]
+    code = int(any(getattr(item, "verdict", None) == "fail" for item in items))
     assert (code, "".join(line + "\n" for line in lines)) == run_cli(capsys, *argv)[:2]
 
 
 def test_degree_cap_abort_is_mapped_by_main(capsys):
     argv = ["mathieu", "--oracle", "image", "--n", "1", "--f", "x1^4", "--b", "z1",
             "--mmax", "8", "--degree-cap", "12"]
-    with pytest.raises(DegreeCapExceeded):
-        _HANDLERS["mathieu"](build_parser().parse_args(argv))
+    with pytest.raises(DegreeCapExceeded):  # before the first record
+        next(iter(_HANDLERS["mathieu"](build_parser().parse_args(argv))))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "") and err.startswith("staralg: aborted: ")
+
+
+def test_a_failing_record_mid_stream_exits_one(capsys, monkeypatch):
+    # one record of the recur suite turned to fail: every record is still
+    # written, in order, and the run exits 1 with nothing on stderr
+    run, count = SUITES["recur"]
+
+    def one_fails(args, k):
+        for i, record in enumerate(run(args, k)):
+            yield dataclasses.replace(record, verdict="fail") if i == 2 else record
+
+    want = [r.line() for r in run(build_parser().parse_args(["check", "--suite", "recur"]), None)]
+    want[2] = want[2].replace("verdict=pass", "verdict=fail")
+    monkeypatch.setitem(SUITES, "recur", (one_fails, count))
+    code, out, err = run_cli(capsys, "check", "--suite", "recur")
+    assert (code, out, err) == (1, "".join(line + "\n" for line in want), "")
+    assert len(want) == 16 and sum("verdict=fail" in line for line in want) == 1
+
+
+def test_an_internal_fault_mid_stream_keeps_the_records_before_it(capsys, monkeypatch):
+    # _x_divisible reads the power, then the product, at each m: its third
+    # call, the power at m = 2, lies, after the m = 1 record is out
+    real, calls = mathieu._x_divisible, []
+
+    def lies_on_third_call(p):
+        calls.append(p)
+        return real(p) != (len(calls) == 3)
+
+    monkeypatch.setattr(mathieu, "_x_divisible", lies_on_third_call)
+    code, out, err = run_cli(capsys, "mathieu", "--oracle", "image", "--n", "1", "--f", "x1",
+                             "--b", "z1", "--mmax", "4")
+    assert code == 3
+    assert out == ("kind=mathieu\toracle=image_ev0\tt=1\tm=1\tpower=member\tverdict=member"
+                   "\tpayload=x1*z1 - 1\n")
+    assert err.startswith("staralg: internal error: oracle image_ev0 at m=2 gives")
+    assert len(calls) == 4  # the power and the product at m = 1 and 2, and no further
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -27,7 +27,7 @@ from staralg.mathieu import (
 from staralg.poly import Poly, compositions, iter_multiindices
 from staralg.syntax import parse_poly
 
-from conftest import polys, small_t
+from conftest import all_pass, experiment, polys, small_t
 from reference import image_witness_by_solve, power_experiment_loop
 
 ONE = Poly.const(1, 1)
@@ -158,10 +158,8 @@ def test_division_witness_on_monomials():
 
 def test_oracle_equivalence_scan_report():
     for t in (Fraction(0), Fraction(1), Fraction(2, 3)):
-        report = oracle_equivalence_scan(t, 1, 3, random_count=10, seed=3)
-        assert report.ok
-    report = oracle_equivalence_scan(Fraction(-1), 2, 3, random_count=5, seed=1)
-    assert report.ok
+        all_pass(oracle_equivalence_scan(t, 1, 3, random_count=10, seed=3))
+    all_pass(oracle_equivalence_scan(Fraction(-1), 2, 3, random_count=5, seed=1))
 
 
 # -- Laguerre span oracle --------------------------------------------------------
@@ -184,12 +182,11 @@ def test_laguerre_span_closed_under_combinations():
 
 def test_power_experiment_image_example():
     oracle = MembershipOracle("image_ev0", t=Fraction(1))
-    report = power_experiment(oracle, xi(), z(), 4, "star")
-    assert report.power_member == (True,) * 4
-    assert report.product_member == (True,) * 4
-    assert report.first_stable_n == 1
+    pairs, products = experiment(power_experiment(oracle, xi(), z(), 4, "star"), 1)
+    # every power and product a member, so the stable tail starts at m = 1
+    assert pairs == ((True, True),) * 4
     # the products are z star x^m = x^m z - m x^(m-1)
-    for m, product in enumerate(report.products, start=1):
+    for m, product in enumerate(products, start=1):
         assert product == xi() ** m * z() - m * xi() ** (m - 1)
 
 
@@ -199,19 +196,18 @@ def test_power_experiment_t_zero_ideal():
     for _ in range(5):
         f = xi(2, 1) * random_poly(rng, 2, 2)
         b = random_poly(rng, 2, 2)
-        report = power_experiment(oracle, f, b, 5, "star")
-        assert report.power_member == (True,) * 5
-        assert report.product_member == (True,) * 5
+        pairs, _ = experiment(power_experiment(oracle, f, b, 5, "star"), 2)
+        assert pairs == ((True, True),) * 5
 
 
 def test_power_experiment_laguerre_span():
     oracle = MembershipOracle("laguerre_span", k=(0,))
     f = ONE - z()  # the first Laguerre polynomial
-    report = power_experiment(oracle, f, z(), 6, "ordinary")
+    pairs, _ = experiment(power_experiment(oracle, f, z(), 6, "ordinary"), 1)
     # oracle verdicts are produced by the exact moment integral itself
     for m in range(1, 7):
-        assert report.power_member[m - 1] == (integrate_weight_direct(f ** m) == 0)
-        assert report.product_member[m - 1] == (integrate_weight_direct(z() * f ** m) == 0)
+        assert pairs[m - 1] == (integrate_weight_direct(f ** m) == 0,
+                                integrate_weight_direct(z() * f ** m) == 0)
 
 
 def integrate_weight_direct(p):
@@ -226,10 +222,9 @@ def test_power_experiment_with_linear_oracle():
     ev0 = MembershipOracle("image_ev0", t=Fraction(1))
     linear = MembershipOracle("image_linear", t=Fraction(1))
     f, b = xi() * z(), z()
-    r1 = power_experiment(ev0, f, b, 3, "star")
-    r2 = power_experiment(linear, f, b, 3, "star")
-    assert r1.power_member == r2.power_member
-    assert r1.product_member == r2.product_member
+    r1 = experiment(power_experiment(ev0, f, b, 3, "star"), 1)
+    r2 = experiment(power_experiment(linear, f, b, 3, "star"), 1)
+    assert r1[0] == r2[0]
 
 
 @pytest.mark.parametrize("kind", ["image_ev0", "image_linear"])
@@ -238,9 +233,8 @@ def test_power_experiment_with_linear_oracle():
 def test_power_experiment_matches_generic_star(kind, f, b, n, mmax):
     oracle = MembershipOracle(kind, t=Fraction(1))
     f, b = parse_poly(f, n), parse_poly(b, n)
-    report = power_experiment(oracle, f, b, mmax, "star")
-    expected = power_experiment_loop(oracle, f, b, mmax)
-    assert (report.power_member, report.product_member, report.products) == expected
+    got = experiment(power_experiment(oracle, f, b, mmax, "star"), n)
+    assert got == power_experiment_loop(oracle, f, b, mmax)
 
 
 def lying_once(monkeypatch, owner, name):
@@ -261,7 +255,8 @@ def test_power_experiment_rejects_a_lying_oracle(monkeypatch, capsys):
     # MembershipOracle.contains; each lies once, about the power at m = 1
     calls = lying_once(monkeypatch, mathieu_module, "_x_divisible")
     with pytest.raises(OracleDisagreement, match="m=1"):
-        power_experiment(MembershipOracle("image_ev0", t=Fraction(1)), xi() * z(), z(), 3, "star")
+        next(power_experiment(MembershipOracle("image_ev0", t=Fraction(1)), xi() * z(), z(), 3,
+                              "star"))
     calls.clear()
     # an internal fault, not a usage error: exit 3, never exit 2
     code = main(["mathieu", "--oracle", "image", "--n", "1", "--t", "1", "--f", "x1*z1",
@@ -272,8 +267,8 @@ def test_power_experiment_rejects_a_lying_oracle(monkeypatch, capsys):
     monkeypatch.undo()
     lying_once(monkeypatch, MembershipOracle, "contains")
     with pytest.raises(OracleDisagreement, match="m=1"):
-        power_experiment(MembershipOracle("image_linear", t=Fraction(1)), xi() * z(), z(), 3,
-                         "star")
+        next(power_experiment(MembershipOracle("image_linear", t=Fraction(1)), xi() * z(), z(),
+                              3, "star"))
 
 
 @st.composite
@@ -297,8 +292,7 @@ def test_flow_verdicts_match_division(inputs):
     f, b, t, mmax = inputs
     via_flow = power_experiment(MembershipOracle("image_ev0", t=t), f, b, mmax, "star")
     via_division = power_experiment(MembershipOracle("image_linear", t=t), f, b, mmax, "star")
-    for field in ("power_member", "product_member", "products"):
-        assert getattr(via_flow, field) == getattr(via_division, field)
+    assert experiment(via_flow, f.n) == experiment(via_division, f.n)
 
 
 @pytest.mark.parametrize("f", ["x1*z1+x1", "x1^2*z1-2*x1"])
@@ -317,8 +311,8 @@ def test_flow_verdicts_map_only_the_product_back(monkeypatch, f, mmax):
 
     counting("phi")
     counting("star_ev0")
-    power_experiment(MembershipOracle("image_ev0", t=Fraction(1)), parse_poly(f, 1), z() ** 2,
-                     mmax, "star")
+    list(power_experiment(MembershipOracle("image_ev0", t=Fraction(1)), parse_poly(f, 1),
+                          z() ** 2, mmax, "star"))
     # phi_t of f and of b, then phi_{-t} of each product; star_ev0 only in the
     # closed form of f and b
     assert counts["phi"] == 2 + mmax
@@ -330,20 +324,21 @@ def test_power_experiment_determinism():
     f, b = xi() * z() + xi(), z() ** 2
     r1 = power_experiment(oracle, f, b, 5, "star")
     r2 = power_experiment(oracle, f, b, 5, "star")
-    assert [rec.line() for rec in r1.records()] == [rec.line() for rec in r2.records()]
+    assert [rec.line() for rec in r1] == [rec.line() for rec in r2]
 
 
 def test_power_experiment_pairing_validation():
     with pytest.raises(ValueError):
-        power_experiment(MembershipOracle("laguerre_span", k=(0,)), z(), z(), 2, "star")
+        next(power_experiment(MembershipOracle("laguerre_span", k=(0,)), z(), z(), 2, "star"))
     with pytest.raises(ValueError):
-        power_experiment(MembershipOracle("image_ev0", t=Fraction(1)), xi(), z(), 2, "ordinary")
+        next(power_experiment(MembershipOracle("image_ev0", t=Fraction(1)), xi(), z(), 2,
+                              "ordinary"))
 
 
 def test_degree_cap_aborts():
     oracle = MembershipOracle("image_ev0", t=Fraction(1))
-    with pytest.raises(DegreeCapExceeded):
-        power_experiment(oracle, xi() ** 3, z(), 8, "star", degree_cap=10)
+    with pytest.raises(DegreeCapExceeded):  # before the first record
+        next(power_experiment(oracle, xi() ** 3, z(), 8, "star", degree_cap=10))
 
 
 @pytest.mark.parametrize("f, b, n, cap, refused", [
@@ -360,24 +355,10 @@ def test_degree_cap_refuses_before_building(monkeypatch, f, b, n, cap, refused):
     monkeypatch.setattr(Poly, "__mul__", recording_mul)
     oracle = MembershipOracle("image_ev0", t=Fraction(1))
     with pytest.raises(DegreeCapExceeded) as exc:
-        power_experiment(oracle, parse_poly(f, n), parse_poly(b, n), 12, "star", degree_cap=cap)
+        next(power_experiment(oracle, parse_poly(f, n), parse_poly(b, n), 12, "star",
+                              degree_cap=cap))
     assert str(exc.value) == f"degree of {refused}, above the cap {cap}"
     assert built and max(p.degree().total for p in built) <= cap
-
-
-def test_first_stable_n_tail():
-    # membership pattern with a false entry mid-run: first_stable_n is the
-    # start of the trailing all-member block
-    oracle = MembershipOracle("laguerre_span", k=(0,))
-    f = ONE - z()
-    report = power_experiment(oracle, f, z(), 6, "ordinary")
-    verdicts = report.product_member
-    if report.first_stable_n is not None:
-        n0 = report.first_stable_n
-        assert all(verdicts[m - 1] for m in range(n0, 7))
-        assert n0 == 1 or not verdicts[n0 - 2]
-    else:
-        assert not verdicts[-1]
 
 
 def test_membership_oracle_validation():
@@ -390,8 +371,7 @@ def test_membership_oracle_validation():
 
 
 def test_basis_power_scan_smoke():
-    reports = basis_power_scan(Fraction(1), 1, 2, 3)
-    assert reports
-    for rep in reports:
-        assert rep.mmax == 3
-        assert len(rep.power_member) == 3
+    scan = list(basis_power_scan(Fraction(1), 1, 2, 3))
+    assert scan
+    for f, records in scan:
+        assert [dict(r.params)["m"] for r in records] == ["1", "2", "3"]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from staralg.poly import Poly
-from staralg.report import OutputRecord, Report
+from staralg.report import OutputRecord, check
 
 
 def test_record_renders_each_value_by_one_rule():
@@ -22,11 +22,8 @@ def test_record_fields_keep_keyword_order():
     assert OutputRecord.of("demo", "pass", Poly.zero(2)).payload == "0"
 
 
-def test_report_add_folds_verdicts():
-    report = Report()
-    report.add("demo", True, m=1)
-    report.add("demo", False, 0, m=2)
-    report.add("demo", True, m=3)
-    assert not report.ok
-    assert [r.verdict for r in report.records] == ["pass", "fail", "pass"]
-    assert report.first_failure.line() == "kind=demo\tm=2\tverdict=fail\tpayload=0"
+def test_check_builds_pass_and_fail_records():
+    records = [check("demo", True, m=1), check("demo", False, 0, m=2), check("demo", True, m=3)]
+    assert [r.verdict for r in records] == ["pass", "fail", "pass"]
+    assert records[1].line() == "kind=demo\tm=2\tverdict=fail\tpayload=0"
+    assert records[0] == OutputRecord.of("demo", "pass", m=1)

@@ -37,6 +37,18 @@ def test_mathieu_power_scan_matches_the_cli(monkeypatch, capsys):
         assert main(["mathieu", "--oracle", "image", "--n", "2", "--f", f.removeprefix("f="),
                      "--b", "z1"]) == 0
         assert record in capsys.readouterr().out.splitlines()
+    # a candidate has a stable tail iff its last product is a member
+    last = {line.split("\t", 1)[0]: line for line in out.splitlines()}
+    stable = sum(line.split("\tverdict=")[1].startswith("member") for line in last.values())
+    assert err.startswith(f"# candidates={len(last)} with_stable_tail={stable} ")
+
+
+def test_mathieu_power_scan_keeps_the_candidates_before_a_cap_abort(monkeypatch, capsys):
+    # x1 stays within degree 5 up to b*x1^4 = x1^4*z1; x1*z1, next, does not
+    code, out, err = run_script("mathieu_power_scan.py", ["--degmax", "2", "--mmax", "4",
+                                                          "--degree-cap", "5"], monkeypatch, capsys)
+    assert (code, err) == (1, "aborted: degree of f^3 is 6, above the cap 5\n")
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["f=x1"] * 4
 
 
 def test_verify_identities_refuses_what_the_cli_refuses(monkeypatch, capsys):

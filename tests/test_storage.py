@@ -1,6 +1,8 @@
 """The integer storage of Poly: reduced numerators on flat keys over one
 denominator, the derived Fraction view, and CLI paths that never build it."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
@@ -78,6 +80,19 @@ def test_terms_is_a_lazy_read_only_view():
     with pytest.raises(AttributeError):
         p.den = 1
     assert Poly.zero(2).den == 1 and not Poly.zero(2).nums
+
+
+@pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_pickle_and_deepcopy_round_trip(copy_of):
+    for p in (Poly.const(1, 1), Poly.zero(2),
+              Poly(2, {((1, 0), (0, 2)): Fraction(3, 4), ((0, 0), (0, 0)): Fraction(-1, 6)})):
+        q = copy_of(p)
+        assert q == p and hash(q) == hash(p) and (q.n, q.den) == (p.n, p.den)
+        assert type(q.nums) is MappingProxyType
+        with pytest.raises(TypeError):
+            q.nums[(0,) * (2 * p.n)] = 1
+        assert_reduced(q)
 
 
 def _argvs(n):

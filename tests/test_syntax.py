@@ -13,7 +13,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from staralg.poly import Poly
-from staralg.syntax import MAX_NESTING, ParseError, format_poly, parse_poly, parse_weyl
+from staralg.syntax import (
+    MAX_NESTING,
+    ParseError,
+    format_poly,
+    parse_expr,
+    parse_poly,
+    parse_weyl,
+)
 from staralg.weyl import WeylOp, right_symbol
 
 from conftest import polys
@@ -128,6 +135,13 @@ def test_parse_weyl_rejects_x_vars():
         parse_weyl("x1*d1", 1)
 
 
+@pytest.mark.parametrize("mode", ["Poly", "WEYL", "op", ""])
+def test_parse_expr_refuses_unknown_modes(mode):
+    with pytest.raises(ValueError, match=f"unknown parse mode {mode!r}"):
+        parse_expr("z1", 1, mode)
+    assert parse_expr("z1", 1, "poly") == z() and parse_expr("z1", 1, "weyl") == WeylOp(z())
+
+
 def _signed_sum(pieces):
     """'p0 - p1 + p2 - p3 ...' and the sign it gives each piece."""
     signs = [(-1) ** i for i in range(len(pieces))]
@@ -231,11 +245,13 @@ def test_reimport_releases_previous_package():
              if m == "staralg" or m.startswith("staralg.")}
     try:
         _drop_staralg()
-        ref = weakref.ref(importlib.import_module("staralg.poly").Poly)
+        cli = importlib.import_module("staralg.cli")  # imports every module
+        refs = [weakref.ref(cli.mathieu.Poly), weakref.ref(cli.OutputRecord)]
+        del cli
         _drop_staralg()
-        importlib.import_module("staralg")
+        importlib.import_module("staralg.cli")
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
     finally:
         _drop_staralg()
         sys.modules.update(saved)
