@@ -11,6 +11,7 @@ import pytest
 
 import staralg
 
+from staralg import mathieu
 from staralg.cli import (
     _HANDLERS,
     MAX_N,
@@ -21,7 +22,6 @@ from staralg.cli import (
     build_parser,
     main,
 )
-from staralg import mathieu
 from staralg.mathieu import DegreeCapExceeded
 from staralg.report import OutputRecord
 from staralg.syntax import MAX_EXPONENT, MAX_NESTING
