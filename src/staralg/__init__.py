@@ -16,7 +16,6 @@ The package provides, over exact rationals:
 """
 
 from .deform import (
-    StarContext,
     StarTaylor,
     cross_laplacian,
     phi,
@@ -82,7 +81,6 @@ __all__ = [
     "OutputRecord",
     "ParseError",
     "Poly",
-    "StarContext",
     "StarTaylor",
     "WeylOp",
     "basis_power_scan",

@@ -7,16 +7,18 @@ at a time; `main` is the one writer of stdout.  It writes each line as it
 arrives, so `check ... | head` stops the work, and maps every exit code: 0 on
 success, 1 when a check record fails or an experiment aborts on the degree
 cap (checked before the first record, so nothing is printed), 2 on usage
-errors including malformed expressions, 3 on internal faults (the records
-written before the fault stay on stdout), 141 on a closed stdout.
+errors including malformed expressions, 3 on internal faults, among them any
+ValueError from the engine, since input faults are refused before it (the
+records written before the fault stay on stdout), 141 on a closed stdout.
 
 Resource limits, refused with exit 2 before anything is built: --n is in
-1..MAX_N, each size option in 0..its entry in SIZE_LIMITS (check_limits),
-every exponent in expression text at most syntax.MAX_EXPONENT, and its
-parentheses nested at most syntax.MAX_NESTING deep.  Those limits bound one
-option each; a check suite's record count, computed by its SUITES
-entry from --n and all of its bounds together, is at most RECORD_BUDGET.
-The cost of one record still grows with the degrees and with --n.
+1..MAX_N, each size option in 0..its entry in SIZE_LIMITS (check_limits;
+--mmax from 1 where it counts powers or recurrence steps), and expression
+text within the syntax limits (exponent, nesting, and the term pairs that a
+polynomial text multiplies).  Those limits bound one option each; a suite's
+record count, computed by its SUITES entry from --n and all of its bounds
+together, is at most RECORD_BUDGET.  The cost of one record still grows with
+the degrees and with --n.
 
 Note: argument values starting with '-' (negative t, leading-minus
 polynomials) must be passed in --flag=value form.  --f/--g/--b/--input
@@ -34,8 +36,7 @@ from math import comb
 from typing import Iterable
 
 from . import mathieu
-from .deform import StarContext, star, star_taylor
-from .deform import phi as phi_map
+from .deform import phi as phi_map, star, star_taylor
 from .laguerre import (
     LaguerreSpec,
     even_identity_report,
@@ -227,21 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_star(args) -> Iterable[str]:
-    ctx = StarContext(args.n, _parse_fraction(args.t))
-    f = parse_poly(args.f, args.n)
-    g = parse_poly(args.g, args.n)
-    return [format_poly(star(ctx, f, g))]
+    t = _parse_fraction(args.t)
+    f, g = parse_poly(args.f, args.n), parse_poly(args.g, args.n)
+    return [format_poly(star(t, f, g))]
 
 
 def _cmd_phi(args) -> Iterable[str]:
     t = _parse_fraction(args.t)
-    ctx = StarContext(args.n, -t if args.inverse else t)
-    return [format_poly(phi_map(ctx, parse_poly(args.f, args.n)))]
+    return [format_poly(phi_map(-t if args.inverse else t, parse_poly(args.f, args.n)))]
 
 
 def _cmd_taylor(args) -> Iterable[str]:
-    ctx = StarContext(args.n, _parse_fraction(args.t))
-    coefficients = star_taylor(ctx, parse_poly(args.f, args.n)).coefficients
+    coefficients = star_taylor(_parse_fraction(args.t), parse_poly(args.f, args.n)).coefficients
     alphas = sorted(coefficients, key=lambda a: grlex_key((a, mi_zero(args.n))))
     return [f"alpha={','.join(map(str, a))}\ta={format_poly(coefficients[a])}" for a in alphas]
 
@@ -271,9 +269,11 @@ def _suite_records(args) -> int:
 
 
 def check_limits(args) -> None:
-    """Refuse (UsageError) --n outside 1..MAX_N, a size option outside 0..its
-    SIZE_LIMITS entry, and a check suite of more than RECORD_BUDGET records."""
-    for name, low, high in (("n", 1, MAX_N), *((k, 0, v) for k, v in SIZE_LIMITS.items())):
+    """Refuse (UsageError) --n or a size option outside its range (module
+    docstring), and a check suite of more than RECORD_BUDGET records."""
+    lows = {"n": 1, "mmax": int(args.command == "mathieu" or vars(args).get("suite") == "recur")}
+    for name, high in (("n", MAX_N), *SIZE_LIMITS.items()):
+        low = lows.get(name, 0)
         value, flag = getattr(args, name, None), f"--{name.replace('_', '-')}"
         if value is not None and value > high:
             raise UsageError(f"{flag} {value} is above the limit {high}")
@@ -341,13 +341,13 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(item + "\n")
         sys.stdout.flush()  # here, not at interpreter exit, so a closed pipe still exits 141
         return code
-    except (UsageError, ParseError, ValueError) as exc:
+    except (UsageError, ParseError) as exc:
         print(f"staralg: error: {exc}", file=sys.stderr)
         return 2
     except mathieu.DegreeCapExceeded as exc:
         print(f"staralg: aborted: {exc}", file=sys.stderr)
         return 1
-    except InternalFault as exc:
+    except (InternalFault, ValueError) as exc:  # input faults are refused before the engine
         print(f"staralg: internal error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

@@ -24,7 +24,8 @@ The module also provides the analogue of evaluation at x = 0 for the star
 algebra (``star_ev0``, an algebra homomorphism onto Q[z]) and the unique
 star-Taylor expansion f = sum_a (1/a!) x^a star_t c_a(z).
 
-Everything here is pure and exact; a StarContext (n, t) pins the algebra.
+Everything here is pure and exact.  Each function takes the parameter t (int
+or Fraction) first; the dimension is that of the polynomials, never stored twice.
 """
 
 from __future__ import annotations
@@ -37,28 +38,11 @@ from operator import sub
 from .poly import (
     MultiIndex,
     Poly,
+    Scalar,
     mi_factorial,
     mi_le,
     mi_zero,
 )
-
-
-@dataclass(frozen=True)
-class StarContext:
-    """Fixes the algebra: dimension n >= 1 and rational deformation parameter t."""
-
-    n: int
-    t: Fraction
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        object.__setattr__(self, "t", Fraction(self.t))
-
-    def check(self, *polys: Poly) -> None:
-        for p in polys:
-            if p.n != self.n:
-                raise ValueError(f"dimension mismatch: polynomial has n={p.n}, context n={self.n}")
 
 
 def cross_laplacian(f: Poly) -> Poly:
@@ -66,7 +50,7 @@ def cross_laplacian(f: Poly) -> Poly:
     return Poly.sum(f.n, (f.d_z(i).d_xi(i) for i in range(1, f.n + 1)))
 
 
-def phi(ctx: StarContext, f: Poly) -> Poly:
+def phi(t: Scalar, f: Poly) -> Poly:
     """exp(t * cross_laplacian) applied to f, termwise in closed form:
 
         phi_t(x^a z^b) = sum over gamma <= min(a, b) of t^|gamma| * x^(a-gamma) z^(b-gamma)
@@ -75,12 +59,11 @@ def phi(ctx: StarContext, f: Poly) -> Poly:
     summed in integers over f's denominator times q^depth, t = p/q.  phi_{-t} is
     the inverse.
     """
-    ctx.check(f)
     n = f.n
     depth = max((sum(map(min, k[:n], k[n:])) for k in f.nums), default=0)  # max |gamma|
-    if ctx.t == 0 or depth == 0:
+    if t == 0 or depth == 0:
         return f
-    p, q = ctx.t.numerator, ctx.t.denominator
+    p, q = t.numerator, t.denominator
     t_pow = [p ** k * q ** (depth - k) for k in range(depth + 1)]  # t^k * q^depth
     out: dict[MultiIndex, int] = {}
     for key, c in f.nums.items():
@@ -95,17 +78,16 @@ def phi(ctx: StarContext, f: Poly) -> Poly:
     return Poly._make(n, out, f.den * q ** depth)
 
 
-def star(ctx: StarContext, f: Poly, g: Poly) -> Poly:
+def star(t: Scalar, f: Poly, g: Poly) -> Poly:
     """The star_t product of f and g, as phi_{-t}(phi_t f * phi_t g)."""
-    return phi(StarContext(ctx.n, -ctx.t), phi(ctx, f) * phi(ctx, g))
+    return phi(-t, phi(t, f) * phi(t, g))
 
 
-def _star_via_subst(ctx: StarContext, p: Poly, g: Poly, side: int) -> Poly:
+def _star_via_subst(t: Scalar, p: Poly, g: Poly, side: int) -> Poly:
     """p star_t g for p in the x (side 0) or the z (side 1) variables only, by
     substituting the commuting operators x_i - t*dz_i, resp. z_i - t*dxi_i,
     factor by factor.  Serves as an independent oracle for ``star``."""
-    ctx.check(p, g)
-    n = ctx.n
+    n = p.n
     if any(any(k[(1 - side) * n:(2 - side) * n]) for k in p.nums):
         raise ValueError(f"first factor must be a polynomial in the {'xz'[side]} variables only")
     var, partial = (Poly.xi_var, Poly.d_z) if side == 0 else (Poly.z_var, Poly.d_xi)
@@ -114,37 +96,32 @@ def _star_via_subst(ctx: StarContext, p: Poly, g: Poly, side: int) -> Poly:
         h = g
         for i, e in enumerate(key[side * n:side * n + n], start=1):
             for _ in range(e):
-                h = var(n, i) * h - partial(h, i) * ctx.t
+                h = var(n, i) * h - partial(h, i) * t
         pieces.append(h * c)
     return Poly.sum(n, pieces) / p.den
 
 
-def star_via_subst_xi(ctx: StarContext, lam: Poly, g: Poly) -> Poly:
+def star_via_subst_xi(t: Scalar, lam: Poly, g: Poly) -> Poly:
     """lam(x) star_t g computed as the operator substitution lam(x - t*dz)."""
-    return _star_via_subst(ctx, lam, g, 0)
+    return _star_via_subst(t, lam, g, 0)
 
 
-def star_via_subst_z(ctx: StarContext, p: Poly, g: Poly) -> Poly:
+def star_via_subst_z(t: Scalar, p: Poly, g: Poly) -> Poly:
     """p(z) star_t g computed as the operator substitution p(z - t*dxi)."""
-    return _star_via_subst(ctx, p, g, 1)
+    return _star_via_subst(t, p, g, 1)
 
 
-def star_monomial(ctx: StarContext, alpha: MultiIndex, beta: MultiIndex) -> Poly:
-    """x^alpha star_t z^beta, computed as phi_{-t}(x^alpha z^beta)."""
-    if len(alpha) != ctx.n or len(beta) != ctx.n:
-        raise ValueError(f"multi-index length != dimension {ctx.n}")
-    return phi(StarContext(ctx.n, -ctx.t), Poly.monomial(ctx.n, alpha, beta))
+def star_monomial(t: Scalar, alpha: MultiIndex, beta: MultiIndex) -> Poly:
+    """x^alpha star_t z^beta in n = len(alpha) variables, as phi_{-t}(x^alpha z^beta)."""
+    return phi(-t, Poly.monomial(len(alpha), alpha, beta))
 
 
-def star_pow(ctx: StarContext, f: Poly, m: int) -> Poly:
+def star_pow(t: Scalar, f: Poly, m: int) -> Poly:
     """m-fold star_t power of f (1 for m = 0), as phi_{-t}(phi_t(f) ** m)."""
-    ctx.check(f)
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"power must be a non-negative integer, got {m!r}")
-    return phi(StarContext(ctx.n, -ctx.t), phi(ctx, f) ** m)
+    return phi(-t, phi(t, f) ** m)
 
 
-def star_ev0(ctx: StarContext, f: Poly) -> Poly:
+def star_ev0(t: Scalar, f: Poly) -> Poly:
     """The star-algebra analogue of evaluation at x = 0.
 
     Termwise, x^b z^g maps to t^|b| * dz^b(z^g), extended linearly.  The
@@ -152,11 +129,10 @@ def star_ev0(ctx: StarContext, f: Poly) -> Poly:
     star_t product to the ordinary product on Q[z]; it also factors as
     evaluate(phi(f), x=0).  Summed in integers over f's denominator.
     """
-    ctx.check(f)
     n = f.n
     live = [(k[:n], k[n:], c) for k, c in f.nums.items() if mi_le(k[:n], k[n:])]  # else 0
     depth = max((sum(xe) for xe, _, _ in live), default=0)
-    p, q, zero = ctx.t.numerator, ctx.t.denominator, mi_zero(n)
+    p, q, zero = t.numerator, t.denominator, mi_zero(n)
     out: dict[MultiIndex, int] = {}
     for xe, ze, c in live:  # c * t^|xe| * ze! / (ze - xe)!, scaled by q^depth
         key = zero + tuple(map(sub, ze, xe))
@@ -174,7 +150,7 @@ class StarTaylor:
     """
 
     n: int
-    t: Fraction
+    t: Scalar
     coefficients: dict[MultiIndex, Poly]
 
     def reconstruct(self) -> Poly:
@@ -182,14 +158,14 @@ class StarTaylor:
         phi_t fixes x^a and each c_a in Q[z], so x^a star_t c_a = phi_{-t}(x^a c_a)."""
         flow = Poly.sum(self.n, (Poly.xi_monomial(self.n, a, Fraction(1, mi_factorial(a))) * c
                                  for a, c in self.coefficients.items()))
-        return phi(StarContext(self.n, -self.t), flow)
+        return phi(-self.t, flow)
 
 
-def star_taylor(ctx: StarContext, f: Poly) -> StarTaylor:
+def star_taylor(t: Scalar, f: Poly) -> StarTaylor:
     """Expand f in star-Taylor form, reading c_a = a! * [x^a] phi_t(f) off one
     flow: phi_t fixes x^a and Q[z], so phi_t(f) = sum_a x^a c_a(z) / a!."""
-    n, zero, flow = ctx.n, mi_zero(ctx.n), phi(ctx, f)
+    n, zero, flow = f.n, mi_zero(f.n), phi(t, f)
     grouped: dict[MultiIndex, dict[MultiIndex, int]] = {}
     for k, c in flow.nums.items():
         grouped.setdefault(k[:n], {})[zero + k[n:]] = c * mi_factorial(k[:n])
-    return StarTaylor(n, ctx.t, {a: Poly._make(n, nums, flow.den) for a, nums in grouped.items()})
+    return StarTaylor(n, t, {a: Poly._make(n, nums, flow.den) for a, nums in grouped.items()})

@@ -1,9 +1,9 @@
 """Membership oracles and bounded power experiments.
 
-Two independent oracles decide membership in the image of the commuting
-first-order operators x_i - t dz_i:
+Two independent oracles, each called with the parameter t first, decide
+membership in the image of the commuting first-order operators x_i - t dz_i:
 
-* ``in_image_ev0``:     p belongs iff star_ev0(p) = 0 (the image equals the
+* ``in_image_ev0``:     p belongs iff star_ev0(t, p) = 0 (the image equals the
                           star-ideal generated by the x variables, whose
                           star-Taylor constant coefficient this is);
 * ``in_image_linear``:  division: p = sum_i (x_i - t dz_i) g_i + r with r in
@@ -32,12 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .deform import StarContext, phi, star_ev0
+from .deform import phi, star_ev0
 from .laguerre import integrate_weight
 from .poly import (
     ZERO_DEGREE,
     MultiIndex,
     Poly,
+    Scalar,
     compositions,
     iter_multiindices,
 )
@@ -54,17 +55,17 @@ class OracleDisagreement(InternalFault):
     """A membership verdict contradicts the closed form: an internal fault."""
 
 
-def in_image_ev0(ctx: StarContext, p: Poly) -> bool:
+def in_image_ev0(t: Scalar, p: Poly) -> bool:
     """Membership in Im(x - t dz) via the homomorphism criterion."""
-    return star_ev0(ctx, p).is_zero()
+    return star_ev0(t, p).is_zero()
 
 
-def in_image_linear(ctx: StarContext, p: Poly, degree_bound: int | None = None) -> bool:
+def in_image_linear(t: Scalar, p: Poly, degree_bound: int | None = None) -> bool:
     """Membership in Im(x - t dz) by dividing p through the operators."""
-    return image_linear_witness(ctx, p, degree_bound) is not None
+    return image_linear_witness(t, p, degree_bound) is not None
 
 
-def image_linear_witness(ctx: StarContext, p: Poly,
+def image_linear_witness(t: Scalar, p: Poly,
                          degree_bound: int | None = None) -> list[Poly] | None:
     """Find g_1..g_n with p = sum_i (x_i - t dz_i) g_i, or None.
 
@@ -79,9 +80,8 @@ def image_linear_witness(ctx: StarContext, p: Poly,
     term of it has total degree below the term it came from; it is refused
     (None) if some g_i exceeds degree_bound (default deg(p) - 1).
     """
-    ctx.check(p)
     # in integers: a value c at x-depth d is stored as c * den * q^(top - d), t = num/q
-    n, num, q = p.n, ctx.t.numerator, ctx.t.denominator
+    n, num, q = p.n, t.numerator, t.denominator
     top = max((sum(k[:n]) for k in p.nums), default=0)
     by_depth: dict[int, dict[MultiIndex, int]] = {}
     for k, c in p.nums.items():
@@ -132,9 +132,9 @@ class MembershipOracle:
 
     def contains(self, p: Poly) -> bool:
         if self.kind == "image_ev0":
-            return in_image_ev0(StarContext(p.n, self.t), p)
+            return in_image_ev0(self.t, p)
         if self.kind == "image_linear":
-            return in_image_linear(StarContext(p.n, self.t), p)
+            return in_image_linear(self.t, p)
         return in_laguerre_span(p, self.k)
 
 
@@ -174,12 +174,11 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
         t = Fraction(0)  # star_0 is the ordinary product and phi_0 the identity
     else:
         raise ValueError(f"unknown power kind {power_kind!r}")
-    ctx, back = StarContext(f.n, t), StarContext(f.n, -t)
-    flow_f, flow_b = phi(ctx, f), phi(ctx, b)
+    flow_f, flow_b = phi(t, f), phi(t, b)
     # star_ev0 maps onto Q[z], which has no zero divisors: f^m is in the image
     # iff star_ev0(f) = 0, and b star f^m iff star_ev0(f) = 0 or star_ev0(b) = 0.
-    f_in = star_ev0(ctx, f).is_zero()
-    closed_form = (f_in, f_in or star_ev0(ctx, b).is_zero())
+    f_in = star_ev0(t, f).is_zero()
+    closed_form = (f_in, f_in or star_ev0(t, b).is_zero())
 
     # phi preserves total degree, so the caps apply in flow coordinates; Q[x, z]
     # has no zero divisors, so deg f^m = m deg f and deg b*f^m = deg b + m deg f
@@ -196,11 +195,11 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
     for m in range(1, mmax + 1):
         flow_power = flow_power * flow_f
         flow_product = flow_b * flow_power
-        product = phi(back, flow_product)
+        product = phi(-t, flow_product)
         if oracle.kind == "image_ev0":
             verdicts = (_x_divisible(flow_power), _x_divisible(flow_product))
         else:
-            verdicts = (oracle.contains(phi(back, flow_power)), oracle.contains(product))
+            verdicts = (oracle.contains(phi(-t, flow_power)), oracle.contains(product))
         if power_kind == "star" and verdicts != closed_form:
             raise OracleDisagreement(f"oracle {oracle.kind} at m={m} gives (power, product) "
                                      f"membership {verdicts}, star_ev0 gives {closed_form}")
@@ -243,12 +242,12 @@ def oracle_equivalence_scan(t: Fraction, n: int, degmax: int,
                             random_count: int = 20, seed: int = 0) -> Iterator[OutputRecord]:
     """Cross-validate the two image oracles on the monomial basis up to
     degmax plus seeded random combinations."""
-    ctx = StarContext(n, Fraction(t))
+    t = Fraction(t)
 
     def probe(p: Poly, source: str) -> OutputRecord:
-        via_ev0 = in_image_ev0(ctx, p)
-        via_linear = in_image_linear(ctx, p)
-        return check("oracles", via_ev0 == via_linear, p, t=ctx.t, source=source,
+        via_ev0 = in_image_ev0(t, p)
+        via_linear = in_image_linear(t, p)
+        return check("oracles", via_ev0 == via_linear, p, t=t, source=source,
                      ev0=_membership(via_ev0), linear=_membership(via_linear))
 
     for total in range(degmax + 1):

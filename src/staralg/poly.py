@@ -69,20 +69,12 @@ def mi_le(a: MultiIndex, b: MultiIndex) -> bool:
 
 
 def mi_factorial(a: MultiIndex) -> int:
-    out = 1
-    for k in a:
-        out *= factorial(k)
-    return out
+    return prod(map(factorial, a))
 
 
 def mi_binomial(a: MultiIndex, b: MultiIndex) -> int:
     """Product of componentwise binomials; 0 unless b <= a componentwise."""
-    if not mi_le(b, a):
-        return 0
-    out = 1
-    for x, y in zip(a, b):
-        out *= comb(x, y)
-    return out
+    return prod(map(comb, a, b))  # comb(x, y) = 0 for y > x
 
 
 def iter_multiindices(n: int, max_total: int) -> Iterator[MultiIndex]:

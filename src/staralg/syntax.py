@@ -13,10 +13,10 @@ in z_i.  Grammar, loosest to tightest binding:
 INT is a run of the ASCII digits 0-9; any other character outside the
 grammar's letters, operators and whitespace is refused.  Implicit
 multiplication by juxtaposition is not allowed, whitespace is insignificant,
-and '/' is permitted only inside a rational literal a/b.  An exponent above
-MAX_EXPONENT is refused before the power is built, and a '(' that opens a
-level of nesting above MAX_NESTING is refused before the parser recurses
-into it.
+and '/' is permitted only inside a rational literal a/b.  Refused before any
+work: an exponent above MAX_EXPONENT, a '(' nesting deeper than MAX_NESTING,
+and in mode 'poly' the '*' or '^' that would take the term pairs the text
+multiplies past MAX_TERM_PAIRS (a power's are bounded by binomials, unbuilt).
 
 In operator expressions, '*' means composition left to right, so
 "z1^2*d1^3" is (multiply by z1^2) composed with (differentiate thrice),
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Callable, NamedTuple
 
 from .poly import Poly, format_poly  # noqa: F401  (re-exported)
@@ -44,6 +45,7 @@ from .weyl import WeylOp
 
 MAX_EXPONENT = 1000  # largest exponent in expression text; the default degree cap is 40
 MAX_NESTING = 100  # deepest parenthesis nesting in expression text; bounds the recursion
+MAX_TERM_PAIRS = 1_000_000  # term pairs the '*'s and '^'s of one polynomial text multiply; 1-2 s
 
 
 class ParseError(ValueError):
@@ -83,7 +85,10 @@ def _tokenize(text: str) -> list[_Token]:
         digits, letter, index, op, newline, other = match.groups()
         column = match.start() - line_start + 1
         if digits:
-            tokens.append(_Token("INT", digits, int(digits), line, column))
+            try:
+                tokens.append(_Token("INT", digits, int(digits), line, column))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError(f"integer too long: {len(digits)} digits", line, column) from None
         elif letter:
             if not index:
                 raise ParseError(f"variable '{letter}' needs a 1-based index, e.g. {letter}1",
@@ -127,8 +132,7 @@ class _Parser:
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+        self.pos = self.depth = self.pairs = 0  # next token, '(' nesting, pairs so far
         self.n = n
         self.mode = mode
 
@@ -144,6 +148,13 @@ class _Parser:
         tok = self.advance()
         if tok.text != op:
             raise ParseError(f"expected {op!r}, found {_describe(tok)}", tok.line, tok.column)
+
+    def budget(self, pairs: int, tok: _Token) -> None:
+        """In mode 'poly', refuse the operation that takes the parse past the budget."""
+        self.pairs += pairs
+        if self.mode is _POLY and self.pairs > MAX_TERM_PAIRS:
+            raise ParseError(f"{self.pairs} term pairs to multiply is above the limit "
+                             f"{MAX_TERM_PAIRS}", tok.line, tok.column)
 
     def parse(self) -> Poly:
         value = self.sum()
@@ -163,8 +174,10 @@ class _Parser:
     def product(self) -> Poly:
         left = self.unary()
         while self.peek().text == "*":
-            self.advance()
-            left = self.mode.mul(left, self.unary())
+            tok = self.advance()
+            right = self.unary()
+            self.budget(len(left.nums) * len(right.nums), tok)
+            left = self.mode.mul(left, right)
         tok = self.peek()
         if tok.text == "/":
             raise ParseError("'/' is only allowed inside a rational literal a/b",
@@ -194,6 +207,7 @@ class _Parser:
             raise ParseError(f"exponent {tok.value} is above the limit {MAX_EXPONENT}",
                              tok.line, tok.column)
         self.advance()
+        self.budget(_power_pairs(len(base.nums), tok.value), tok)
         return self.mode.pow(base, tok.value)
 
     def atom(self) -> Poly:
@@ -231,6 +245,15 @@ class _Parser:
             raise ParseError("'/' is only allowed inside a rational literal a/b",
                              tok.line, tok.column)
         raise ParseError(f"unexpected {_describe(tok)}", tok.line, tok.column)
+
+
+def _power_pairs(terms: int, e: int) -> int:
+    """At most how many term pairs Poly.__pow__ multiplies for base^e: at bit i
+    its loop multiplies base^(2^i) into base^(e mod 2^i) if the bit is set, then
+    squares it while e has higher bits; base^j has at most C(terms+j-1, j) terms."""
+    size = lambda j: comb(max(terms, 1) + j - 1, j)  # noqa: E731
+    return sum(size(e % (1 << i)) * size(1 << i) * (e >> i & 1)
+               + size(1 << i) ** 2 * (e >> (i + 1) > 0) for i in range(e.bit_length()))
 
 
 _MODES = {"poly": _POLY, "weyl": _WEYL}

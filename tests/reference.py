@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from staralg import linalg
-from staralg.deform import StarContext, StarTaylor, cross_laplacian, star_ev0
+from staralg.deform import StarTaylor, cross_laplacian, star_ev0
 from staralg.poly import (
     Poly,
     compositions,
@@ -72,21 +72,21 @@ def inv_one_minus_u_pow(k_plus_1: int, order: int, n: int) -> USeries:
     return USeries(order, tuple(Poly.const(n, comb(m + k, k)) for m in range(order + 1)))
 
 
-def star_ev0_by_fractions(ctx: StarContext, f: Poly) -> Poly:
+def star_ev0_by_fractions(t, f: Poly) -> Poly:
     """star_ev0 termwise in Fractions: x^b z^g maps to t^|b| * dz^b(z^g)."""
     out = {}
-    zero = mi_zero(ctx.n)
+    zero = mi_zero(f.n)
     for (xe, ze), c in f.terms.items():
         if not mi_le(xe, ze):
             continue  # dz^xe z^ze vanishes
-        coeff = c * ctx.t ** sum(xe)
+        coeff = c * t ** sum(xe)
         coeff *= Fraction(mi_factorial(ze), mi_factorial(mi_sub(ze, xe)))
         key = (zero, mi_sub(ze, xe))
         out[key] = out.get(key, Fraction(0)) + coeff
-    return Poly(ctx.n, out)
+    return Poly(f.n, out)
 
 
-def star_double_sum(ctx: StarContext, f: Poly, g: Poly) -> Poly:
+def star_double_sum(t, f: Poly, g: Poly) -> Poly:
     """f star_t g by its defining double sum over multi-indices a, b:
 
         (-t)^(|a|+|b|) / (a! b!) * (dxi^b dz^a f) * (dz^b dxi^a g).
@@ -94,30 +94,28 @@ def star_double_sum(ctx: StarContext, f: Poly, g: Poly) -> Poly:
     a is bounded by the z-degree of f and the x-degree of g, b by the
     x-degree of f and the z-degree of g, so the sum is finite.
     """
-    ctx.check(f, g)
-    df, dg = f.degree(), g.degree()
+    n, df, dg = f.n, f.degree(), g.degree()
     pieces = []
-    for a in iter_multiindices(ctx.n, min(df.z, dg.xi)):
-        for b in iter_multiindices(ctx.n, min(df.xi, dg.z)):
-            c = Fraction((-ctx.t) ** (sum(a) + sum(b)), mi_factorial(a) * mi_factorial(b))
+    for a in iter_multiindices(n, min(df.z, dg.xi)):
+        for b in iter_multiindices(n, min(df.xi, dg.z)):
+            c = Fraction((-t) ** (sum(a) + sum(b)), mi_factorial(a) * mi_factorial(b))
             left, right = f.d_multi("z", a).d_multi("xi", b), g.d_multi("xi", a).d_multi("z", b)
             pieces.append(left * right * c)
-    return Poly.sum(ctx.n, pieces)
+    return Poly.sum(n, pieces)
 
 
-def star_taylor_by_derivatives(ctx: StarContext, f: Poly) -> StarTaylor:
+def star_taylor_by_derivatives(t, f: Poly) -> StarTaylor:
     """The star-Taylor expansion with coefficient a equal to star_ev0(dxi^a f)."""
-    coeffs = {a: star_ev0(ctx, f.d_multi("xi", a)) for a in iter_multiindices(ctx.n, f.degree().xi)}
-    return StarTaylor(ctx.n, ctx.t, {a: c for a, c in coeffs.items() if not c.is_zero()})
+    coeffs = {a: star_ev0(t, f.d_multi("xi", a)) for a in iter_multiindices(f.n, f.degree().xi)}
+    return StarTaylor(f.n, t, {a: c for a, c in coeffs.items() if not c.is_zero()})
 
 
-def phi_series(ctx: StarContext, f: Poly) -> Poly:
+def phi_series(t, f: Poly) -> Poly:
     """phi_t f as the iterated series sum_m t^m / m! * L^m f.
 
     L is the cross-Laplacian; the series stops at the first vanishing
     power, since L lowers both the x-degree and the z-degree.
     """
-    ctx.check(f)
     acc = cur = f
     weight = Fraction(1)
     m = 1
@@ -125,16 +123,16 @@ def phi_series(ctx: StarContext, f: Poly) -> Poly:
         cur = cross_laplacian(cur)
         if cur.is_zero():
             return acc
-        weight *= Fraction(ctx.t, m)  # t^m / m!
+        weight *= Fraction(t, m)  # t^m / m!
         acc = acc + cur * weight
         m += 1
 
 
-def star_power_loop(ctx: StarContext, f: Poly, m: int) -> Poly:
+def star_power_loop(t, f: Poly, m: int) -> Poly:
     """f star ... star f (m factors) by the repeated double sum."""
-    result = Poly.const(ctx.n, 1)
+    result = Poly.const(f.n, 1)
     for _ in range(m):
-        result = star_double_sum(ctx, result, f)
+        result = star_double_sum(t, result, f)
     return result
 
 
@@ -142,12 +140,11 @@ def power_experiment_loop(oracle, f: Poly, b: Poly, mmax: int):
     """The (power, product) membership pair for each m of a star power
     experiment, and the products, every power and product taken with the
     double sum."""
-    ctx = StarContext(f.n, oracle.t)
     power = Poly.const(f.n, 1)
     pairs, products = [], []
     for _ in range(mmax):
-        power = star_double_sum(ctx, power, f)
-        product = star_double_sum(ctx, b, power)
+        power = star_double_sum(oracle.t, power, f)
+        product = star_double_sum(oracle.t, b, power)
         pairs.append((oracle.contains(power), oracle.contains(product)))
         products.append(product)
     return tuple(pairs), tuple(products)
@@ -179,7 +176,7 @@ def _by_derivative(op: WeylOp) -> dict:
     return {xe: Poly(op.n, terms) for xe, terms in grouped.items()}
 
 
-def image_witness_by_solve(ctx: StarContext, p: Poly, degree_bound: int | None = None):
+def image_witness_by_solve(t, p: Poly, degree_bound: int | None = None):
     """g_1..g_n with p = sum_i (x_i - t dz_i) g_i, or None, by an exact solve.
 
     The unknowns are the coefficients of each g_i up to total degree
@@ -188,24 +185,22 @@ def image_witness_by_solve(ctx: StarContext, p: Poly, degree_bound: int | None =
     splits by grade and each graded component is solved on its own with
     free variables at 0.
     """
-    ctx.check(p)
     if p.is_zero():
-        return [Poly.zero(ctx.n) for _ in range(ctx.n)]
+        return [Poly.zero(p.n) for _ in range(p.n)]
     bound = p.degree().total - 1 if degree_bound is None else degree_bound
     by_grade = {}
     for (xe, ze), c in p.terms.items():
         by_grade.setdefault(sum(xe) - sum(ze), {})[xe, ze] = c
     partials = []
     for grade, terms in sorted(by_grade.items()):
-        partial = _solve_graded_component(ctx, terms, grade, bound)
+        partial = _solve_graded_component(t, p.n, terms, grade, bound)
         if partial is None:
             return None
         partials.append(partial)
-    return [Poly.sum(ctx.n, pieces) for pieces in zip(*partials)]
+    return [Poly.sum(p.n, pieces) for pieces in zip(*partials)]
 
 
-def _solve_graded_component(ctx: StarContext, q: dict, grade: int, bound: int):
-    n = ctx.n
+def _solve_graded_component(t, n: int, q: dict, grade: int, bound: int):
     columns = []
     for total in range(bound + 1):
         # the column's grade |xe| - |ze| is grade - 1 and |xe| + |ze| = total
@@ -226,8 +221,8 @@ def _solve_graded_component(ctx: StarContext, q: dict, grade: int, bound: int):
     entries = []
     for i, (xe, ze) in columns:
         image = [(row_of((mi_add(xe, mi_unit(n, i + 1)), ze)), Fraction(1))]
-        if ctx.t != 0 and ze[i] > 0:
-            image.append((row_of((xe, mi_sub(ze, mi_unit(n, i + 1)))), -ctx.t * ze[i]))
+        if t != 0 and ze[i] > 0:
+            image.append((row_of((xe, mi_sub(ze, mi_unit(n, i + 1)))), -t * ze[i]))
         entries.append(image)
     for key in q:
         row_of(key)

@@ -24,7 +24,7 @@ from staralg.cli import (
 )
 from staralg.mathieu import DegreeCapExceeded
 from staralg.report import OutputRecord
-from staralg.syntax import MAX_EXPONENT, MAX_NESTING
+from staralg.syntax import MAX_EXPONENT, MAX_NESTING, MAX_TERM_PAIRS
 
 
 def run_cli(capsys, *argv):
@@ -509,3 +509,41 @@ def test_each_size_option_is_refused_below_zero_and_accepted_at_zero(capsys, nam
     assert (code, out, err) == (2, "", f"staralg: error: --{flag} -1 is below the limit 0\n")
     code, out, err = run_cli(capsys, *argv, f"--{flag}=0")
     assert code == 0 and out and not err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mathieu", "--oracle", "image", "--n", "1", "--f", "x1", "--b", "z1"],
+    ["mathieu", "--oracle", "laguerre", "--n", "1", "--f", "z1", "--b", "z1"],
+    ["check", "--suite", "recur"],
+], ids=["image", "laguerre", "recur"])
+def test_mmax_zero_is_refused_where_m_counts_from_one(capsys, argv):
+    # these used to reach the engine and fail there with a ValueError
+    code, out, err = run_cli(capsys, *argv, "--mmax", "0")
+    assert (code, out, err) == (2, "", "staralg: error: --mmax 0 is below the limit 1\n")
+    code, out, err = run_cli(capsys, *argv, "--mmax", "1")
+    assert code == 0 and out and not err
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("staralg.cli.star", ["star", "--n", "1", "--f", "x1", "--g", "z1"]),
+    ("staralg.laguerre.laguerre1", ["check", "--suite", "recur"]),
+], ids=["star", "recur"])
+def test_an_engine_value_error_exits_three(capsys, monkeypatch, target, argv):
+    # every input fault is refused before the engine, so a ValueError from it is a bug
+    def broken(*args):
+        raise ValueError("mi_sub went negative")
+
+    monkeypatch.setattr(target, broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", "staralg: internal error: mi_sub went negative\n")
+
+
+def test_expressions_over_the_term_budget_exit_two(capsys):
+    # (x1+x2+z1+z2)^200 has C(203, 3) terms; its powers used to run for minutes
+    code, out, err = run_cli(capsys, "star", "--n", "2", "--f", "(x1+x2+z1+z2)^200", "--g", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("staralg: error: ") and err.endswith(
+        f"term pairs to multiply is above the limit {MAX_TERM_PAIRS} (line 1, column 15)\n")
+    code, out, err = run_cli(capsys, "phi", "--n", "1", "--f", "1" * 5000)
+    assert (code, out, err) == (2, "", "staralg: error: integer too long: 5000 digits "
+                                       "(line 1, column 1)\n")

@@ -30,7 +30,7 @@ from staralg.laguerre import (
     star_exp_check,
     xi_orthogonality_check,
 )
-from staralg.deform import StarContext, star_ev0, star_monomial
+from staralg.deform import star_ev0, star_monomial
 from staralg.poly import Poly, iter_multiindices, mi_add, mi_factorial, mi_zero
 from staralg.series import USeries
 from staralg.weyl import WeylOp
@@ -107,7 +107,7 @@ def test_laguerre_star_two_sides_agree():
 
 def test_failed_star_division_is_an_internal_fault(monkeypatch, capsys):
     # a wrong star product leaves a term that neither x^k nor z^k divides
-    monkeypatch.setattr(laguerre_module, "star_monomial", lambda ctx, a, b: ONE)
+    monkeypatch.setattr(laguerre_module, "star_monomial", lambda t, a, b: ONE)
     for build in (laguerre_star, laguerre_star_zside):
         with pytest.raises(staralg.InternalFault, match="not divisible"):
             build(LaguerreSpec((0,), (1,)))
@@ -182,7 +182,7 @@ def test_laguerre_bridge(case, t):
     f = Poly(n, {(u, mi_add(u, k)): c for (_, u), c in big_f.terms.items()})
     scaled = Poly(n, {(zero, u): c * t ** sum(u) for (_, u), c in big_f.terms.items()})
     moment = integrate_weight(scaled, k) / mi_factorial(k)
-    assert star_ev0(StarContext(n, t), f) == Poly.monomial(n, zero, k, moment)
+    assert star_ev0(t, f) == Poly.monomial(n, zero, k, moment)
 
 
 @st.composite
@@ -234,10 +234,9 @@ def test_xi_orthogonality_record_line():
 
 def test_star_basis_norm_matches_factorial_square():
     # direct spot check of the weighted norm at one point
-    ctx = StarContext(1, Fraction(1))
     point = [Fraction(3, 2)]
     for m in range(4):
-        basis = star_monomial(ctx, (m,), (m,)).evaluate(xi_point=point)
+        basis = star_monomial(1, (m,), (m,)).evaluate(xi_point=point)
         got = integrate_weight_xi(basis * basis, point)
         assert got == Fraction(mi_factorial((m,))) ** 2
 
@@ -329,10 +328,16 @@ def test_even_identity():
 
 def test_even_identity_worked_example():
     # x (x star z^2) = z (x^2 star z), both equal x^2 z^2 - 2 x z
-    ctx = StarContext(1, Fraction(1))
-    left = xi() * star_monomial(ctx, (1,), (2,))
-    right = z() * star_monomial(ctx, (2,), (1,))
+    left = xi() * star_monomial(1, (1,), (2,))
+    right = z() * star_monomial(1, (2,), (1,))
     assert left == right == xi() ** 2 * z() ** 2 - 2 * xi() * z()
+
+
+def test_even_identity_refuses_unequal_lengths():
+    # the length guard is Poly's: beta of the wrong length cannot make a monomial
+    for alpha, beta in (((1, 0), (1,)), ((1,), (1, 0))):
+        with pytest.raises(ValueError, match="exponent length mismatch"):
+            even_identity_check(alpha, beta)
 
 
 def test_spec_validation():

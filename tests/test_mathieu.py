@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import staralg.mathieu as mathieu_module
 from staralg.cli import main
-from staralg.deform import StarContext, phi, star_ev0
+from staralg.deform import phi, star_ev0
 from staralg.laguerre import laguerre1
 from staralg.mathieu import (
     DegreeCapExceeded,
@@ -41,94 +41,92 @@ def z(n=1, i=1):
     return Poly.z_var(n, i)
 
 
-def apply_image_operator(ctx, gs):
-    total = Poly.zero(ctx.n)
+def apply_image_operator(t, gs):
+    n = len(gs)
+    total = Poly.zero(n)
     for i, g in enumerate(gs, start=1):
-        total = total + Poly.xi_var(ctx.n, i) * g - g.d_z(i) * ctx.t
+        total = total + Poly.xi_var(n, i) * g - g.d_z(i) * t
     return total
 
 
 # -- image oracles -------------------------------------------------------------
 
 def test_image_examples():
-    ctx = StarContext(1, Fraction(1))
-    assert in_image_ev0(ctx, xi()) and in_image_linear(ctx, xi())
-    assert not in_image_ev0(ctx, ONE) and not in_image_linear(ctx, ONE)
-    assert not in_image_ev0(ctx, xi() * z())
-    assert not in_image_linear(ctx, xi() * z())
-    half = StarContext(1, Fraction(1, 2))
+    t = Fraction(1)
+    assert in_image_ev0(t, xi()) and in_image_linear(t, xi())
+    assert not in_image_ev0(t, ONE) and not in_image_linear(t, ONE)
+    assert not in_image_ev0(t, xi() * z())
+    assert not in_image_linear(t, xi() * z())
+    half = Fraction(1, 2)
     assert star_ev0(half, xi() * z()) == Poly.const(1, Fraction(1, 2))
     assert not in_image_ev0(half, xi() * z())
 
 
 def test_zero_is_member():
-    ctx = StarContext(2, Fraction(1))
-    assert in_image_ev0(ctx, Poly.zero(2))
-    assert in_image_linear(ctx, Poly.zero(2))
+    t = Fraction(1)
+    assert in_image_ev0(t, Poly.zero(2))
+    assert in_image_linear(t, Poly.zero(2))
 
 
 def test_linear_witness_reconstructs():
     for t in (Fraction(1), Fraction(-2, 3)):
-        ctx = StarContext(1, t)
         p = xi() ** 2 * z() - 2 * t * xi()
-        gs = image_linear_witness(ctx, p)
+        gs = image_linear_witness(t, p)
         assert gs is not None
-        assert apply_image_operator(ctx, gs) == p
+        assert apply_image_operator(t, gs) == p
         bound = p.degree().total - 1
         assert all(g.degree().total <= bound for g in gs)
 
 
 def test_linear_witness_none_for_nonmembers():
-    ctx = StarContext(1, Fraction(1))
-    assert image_linear_witness(ctx, ONE) is None
-    assert image_linear_witness(ctx, xi() * z()) is None
+    t = Fraction(1)
+    assert image_linear_witness(t, ONE) is None
+    assert image_linear_witness(t, xi() * z()) is None
 
 
 def test_raising_degree_bound_keeps_verdicts():
     # the default bound deg(p) - 1 is claimed sound; stress it by allowing more
-    ctx = StarContext(2, Fraction(2, 3))
+    t = Fraction(2, 3)
     rng = random.Random(7)
     for _ in range(10):
         p = random_poly(rng, 2, 3)
-        base = in_image_linear(ctx, p)
-        relaxed = in_image_linear(ctx, p, degree_bound=p.degree().total + 1)
+        base = in_image_linear(t, p)
+        relaxed = in_image_linear(t, p, degree_bound=p.degree().total + 1)
         assert base == relaxed
 
 
 @settings(max_examples=30, deadline=None)
 @given(polys(n=2, max_degree=3), small_t())
 def test_oracles_agree(p, t):
-    ctx = StarContext(p.n, t)
-    assert in_image_ev0(ctx, p) == in_image_linear(ctx, p)
+    assert in_image_ev0(t, p) == in_image_linear(t, p)
 
 
 @settings(max_examples=30, deadline=None)
 @given(polys(n=2, max_degree=3))
 def test_ideal_case_at_t_zero(p):
     # at t = 0 the subspace is the plain ideal generated by the x variables
-    ctx = StarContext(p.n, Fraction(0))
+    t = Fraction(0)
     member = xi(p.n, 1) * p
-    assert in_image_ev0(ctx, member)
-    assert in_image_linear(ctx, member)
+    assert in_image_ev0(t, member)
+    assert in_image_linear(t, member)
 
 
 @settings(max_examples=30, deadline=None)
 @given(polys(n=2, max_degree=3), small_t())
 def test_flow_transport(p, t):
     # p vanishes at x = 0 exactly when its inverse flow lands in the image
-    ctx = StarContext(p.n, t)
-    pulled = phi(StarContext(p.n, -t), p)
+    pulled = phi(-t, p)
     zeros = [Fraction(0)] * p.n
-    assert in_image_ev0(ctx, pulled) == p.evaluate(xi_point=zeros).is_zero()
+    assert in_image_ev0(t, pulled) == p.evaluate(xi_point=zeros).is_zero()
 
 
-def checked_division_witness(ctx, p, degree_bound=None):
+def checked_division_witness(t, p, degree_bound=None):
     """The division's witness, checked against the graded solve, p itself
     and its normal form (g_i free of x_1..x_(i-1))."""
-    gs = image_linear_witness(ctx, p, degree_bound)
-    assert gs == image_witness_by_solve(ctx, p, degree_bound)
+    gs = image_linear_witness(t, p, degree_bound)
+    assert gs == image_witness_by_solve(t, p, degree_bound)
     if gs is not None:
-        assert apply_image_operator(ctx, gs) == p
+        assert apply_image_operator(t, gs) == p
         for i, g in enumerate(gs):
             assert not any(any(xe[:i]) for xe, _ in g.terms)
     return gs
@@ -137,23 +135,21 @@ def checked_division_witness(ctx, p, degree_bound=None):
 @settings(max_examples=60, deadline=None)
 @given(polys(max_degree=3), small_t(), st.sampled_from([None, -2, 1]))
 def test_division_witness_matches_graded_solve(p, t, bound_shift):
-    ctx = StarContext(p.n, t)
-    member = p - star_ev0(ctx, p)  # star_ev0 kills the image and fixes Q[z]
-    assert checked_division_witness(ctx, member) is not None
+    member = p - star_ev0(t, p)  # star_ev0 kills the image and fixes Q[z]
+    assert checked_division_witness(t, member) is not None
     for q in (p, member):
         bound = None if bound_shift is None else q.degree().total + bound_shift
-        checked_division_witness(ctx, q, bound)
+        checked_division_witness(t, q, bound)
 
 
 def test_division_witness_on_monomials():
     n = 3
     for t in (Fraction(1), Fraction(-1, 2), Fraction(0)):
-        ctx = StarContext(n, t)
         for total in range(4):
             for xe in iter_multiindices(n, total):
                 for ze in compositions(n, total - sum(xe)):
                     for bound in (None, total - 2, total + 1):
-                        checked_division_witness(ctx, Poly.monomial(n, xe, ze), bound)
+                        checked_division_witness(t, Poly.monomial(n, xe, ze), bound)
 
 
 def test_oracle_equivalence_scan_report():
@@ -277,12 +273,11 @@ def experiment_inputs(draw):
     projected into the image or not, so every pair of verdicts occurs."""
     n = draw(st.integers(min_value=1, max_value=2))
     t = draw(small_t())
-    ctx = StarContext(n, t)
     f, b = (draw(polys(n=n, max_degree=2, max_terms=4)) for _ in range(2))
     if draw(st.booleans()):
-        f = f - star_ev0(ctx, f)  # star_ev0 kills the image and fixes Q[z]
+        f = f - star_ev0(t, f)  # star_ev0 kills the image and fixes Q[z]
     if draw(st.booleans()):
-        b = b - star_ev0(ctx, b)
+        b = b - star_ev0(t, b)
     return f, b, t, draw(st.integers(min_value=1, max_value=4))
 
 

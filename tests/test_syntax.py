@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from staralg import syntax
 from staralg.poly import Poly
 from staralg.syntax import (
     MAX_NESTING,
+    MAX_TERM_PAIRS,
     ParseError,
+    _power_pairs,
     format_poly,
     parse_expr,
     parse_poly,
@@ -255,3 +258,72 @@ def test_reimport_releases_previous_package():
     finally:
         _drop_staralg()
         sys.modules.update(saved)
+
+
+def counted_pairs(monkeypatch):
+    """The term pairs each Poly-by-Poly product multiplies, as they happen."""
+    pairs, real = [], Poly.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Poly):
+            pairs.append(len(self.nums) * len(other.nums))
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    return pairs
+
+
+@pytest.mark.parametrize("text", ["x1+x2+z1+z2", "1+x1", "x1", "0", "(x1+z1)^2 - 3/2*x2",
+                                  "x1^2*z2 + x1*z2^2 + 7"])
+def test_power_pairs_bound_the_work_of_pow(monkeypatch, text):
+    base = parse_poly(text, 2)
+    pairs = counted_pairs(monkeypatch)
+    for e in range(14):
+        pairs.clear()
+        base ** e
+        predicted = _power_pairs(len(base.nums), e)
+        assert sum(pairs) <= predicted
+        if text == "x1+x2+z1+z2":  # distinct variables: every bound is reached
+            assert sum(pairs) == predicted
+
+
+def test_poly_products_and_powers_over_the_budget_are_refused_unbuilt(monkeypatch):
+    pairs = counted_pairs(monkeypatch)
+    with pytest.raises(ParseError, match=f"above the limit {MAX_TERM_PAIRS} .line 1, column 15"):
+        parse_poly("(x1+x2+z1+z2)^200", 2)
+    assert max(pairs, default=0) == 0  # nothing was multiplied
+    side = "+".join(f"{{v}}^{i}" for i in range(1001))
+    text = f"({side.format(v='x1')})*({side.format(v='z1')})"
+    with pytest.raises(ParseError, match="term pairs to multiply is above the limit"):
+        parse_poly(text, 1)
+    assert max(pairs) == 1  # only the 1-term powers x1^i, z1^i were built
+    # within the budget both are built
+    assert len(parse_poly("(x1+x2+z1+z2)^20", 2).nums) == 1771
+    assert len(parse_poly("(x1+z1+1)^3*(x2+z2)^2", 2).nums) == 30
+
+
+def test_the_term_budget_covers_the_whole_text(monkeypatch):
+    # many products of 4 pairs each: the text is refused once they add up
+    monkeypatch.setattr(syntax, "MAX_TERM_PAIRS", 1000)
+    pairs = counted_pairs(monkeypatch)
+    assert parse_poly(" + ".join(["(x1+z1)*(x2+z2)"] * 250), 2) == \
+        parse_poly("250*x1*x2 + 250*x1*z2 + 250*z1*x2 + 250*z1*z2", 2)
+    pairs.clear()
+    with pytest.raises(ParseError, match="1004 term pairs to multiply is above the limit 1000"):
+        parse_poly(" + ".join(["(x1+z1)*(x2+z2)"] * 300), 2)
+    assert sum(pairs) == 1000  # the 251st product was not built
+
+
+def test_only_polynomial_text_has_a_term_budget(monkeypatch):
+    want = parse_poly("x1^3 + 2*x1^2*z1 + x1*z1^2 + x1", 1)
+    monkeypatch.setattr(syntax, "MAX_TERM_PAIRS", 0)
+    with pytest.raises(ParseError, match="term pairs"):
+        parse_poly("x1*z1", 1)
+    with pytest.raises(ParseError, match="term pairs"):
+        parse_poly("x1^2", 1)
+    assert right_symbol(parse_weyl("(z1+d1)^2*d1", 1)) == want  # operator text: no budget yet
+
+
+def test_integer_literals_beyond_the_interpreter_limit_are_parse_errors():
+    with pytest.raises(ParseError, match="integer too long: 5000 digits .line 1, column 4"):
+        parse_poly("x1+" + "7" * 5000, 1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from staralg import weyl
 from staralg.cli import main
-from staralg.deform import StarContext, phi, star
+from staralg.deform import phi, star
 from staralg.poly import Poly, iter_multiindices
 from staralg.weyl import (
     WeylOp,
@@ -120,12 +120,11 @@ def test_symbol_maps_linear(p, q):
 
 def test_interchange_on_monomial_basis():
     for n, degmax in ((1, 5), (2, 3)):
-        plus, minus = StarContext(n, Fraction(1)), StarContext(n, Fraction(-1))
         for alpha in iter_multiindices(n, degmax):
             for beta in iter_multiindices(n, degmax - sum(alpha)):
                 p = Poly.monomial(n, alpha, beta)
-                assert right_symbol(from_left_symbol(p)) == phi(plus, p)
-                assert left_symbol(from_right_symbol(p)) == phi(minus, p)
+                assert right_symbol(from_left_symbol(p)) == phi(1, p)
+                assert left_symbol(from_right_symbol(p)) == phi(-1, p)
 
 
 def test_interchange_check_report():
@@ -134,7 +133,7 @@ def test_interchange_check_report():
 
 def test_interchange_suite_checks_the_sign_of_t(monkeypatch, capsys):
     # with phi_{-1} computed as phi_{+1}, only the r2l records can notice
-    monkeypatch.setattr(weyl, "phi", lambda ctx, p: phi(StarContext(ctx.n, abs(ctx.t)), p))
+    monkeypatch.setattr(weyl, "phi", lambda t, p: phi(abs(t), p))
     assert main(["check", "--suite", "interchange", "--n", "2"]) == 1
     verdicts = {(line.split("\t")[3], line.split("\t")[4])
                 for line in capsys.readouterr().out.splitlines()}
@@ -147,9 +146,7 @@ def test_interchange_suite_checks_the_sign_of_t(monkeypatch, capsys):
 def test_symbols_of_single_family_compositions(lam, p):
     # lam(d) o p(z): right symbol is the star product at parameter -1;
     # p(z) o lam(d): left symbol is the star product at parameter +1.
-    n = lam.n
     lam_d = from_right_symbol(lam)  # constant-coefficient operator lam(d)
     mul_p = WeylOp.mul_by(p)
-    minus, plus = StarContext(n, Fraction(-1)), StarContext(n, Fraction(1))
-    assert right_symbol(lam_d.compose(mul_p)) == star(minus, lam, p)
-    assert left_symbol(mul_p.compose(lam_d)) == star(plus, lam, p)
+    assert right_symbol(lam_d.compose(mul_p)) == star(-1, lam, p)
+    assert left_symbol(mul_p.compose(lam_d)) == star(1, lam, p)
