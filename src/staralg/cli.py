@@ -7,9 +7,11 @@ at a time; `main` is the one writer of stdout.  It writes each line as it
 arrives, so `check ... | head` stops the work, and maps every exit code: 0 on
 success, 1 when a check record fails or an experiment aborts on the degree
 cap (checked before the first record, so nothing is printed), 2 on usage
-errors including malformed expressions, 3 on internal faults, among them any
-ValueError from the engine, since input faults are refused before it (the
-records written before the fault stay on stdout), 141 on a closed stdout.
+errors including malformed expressions and on a result whose coefficient has
+more digits than Python prints (sys.get_int_max_str_digits()), 3 on internal
+faults, among them any other ValueError from the engine, since input faults
+are refused before it, 141 on a closed stdout.  On exit 2 or 3 mid-run, the
+records written before the error stay on stdout.
 
 Resource limits, refused with exit 2 before anything is built: --n is in
 1..MAX_N, each size option in 0..its entry in SIZE_LIMITS (check_limits;
@@ -49,7 +51,7 @@ from .laguerre import (
     recurrence_check,
     star_exp_check,
 )
-from .poly import MultiIndex, format_poly, grlex_key, mi_zero
+from .poly import DigitLimitExceeded, MultiIndex, format_poly, grlex_key, mi_zero
 from .report import InternalFault, OutputRecord
 from .syntax import ParseError, parse_poly, parse_weyl
 from .weyl import (
@@ -341,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(item + "\n")
         sys.stdout.flush()  # here, not at interpreter exit, so a closed pipe still exits 141
         return code
-    except (UsageError, ParseError) as exc:
+    except (UsageError, ParseError, DigitLimitExceeded) as exc:
         print(f"staralg: error: {exc}", file=sys.stderr)
         return 2
     except mathieu.DegreeCapExceeded as exc:

@@ -24,8 +24,9 @@ The module also provides the analogue of evaluation at x = 0 for the star
 algebra (``star_ev0``, an algebra homomorphism onto Q[z]) and the unique
 star-Taylor expansion f = sum_a (1/a!) x^a star_t c_a(z).
 
-Everything here is pure and exact.  Each function takes the parameter t (int
-or Fraction) first; the dimension is that of the polynomials, never stored twice.
+Everything here is pure and exact (a table a caller lends to phi only
+memoises).  Each function takes the parameter t (int or Fraction) first; the
+dimension is that of the polynomials, never stored twice.
 """
 
 from __future__ import annotations
@@ -44,13 +45,15 @@ from .poly import (
     mi_zero,
 )
 
+Expansion = tuple[MultiIndex, int, int]  # (flat key, integer weight, |gamma|), see phi
+
 
 def cross_laplacian(f: Poly) -> Poly:
     """sum_i dxi_i dz_i f; drops both the x-degree and z-degree of each term."""
     return Poly.sum(f.n, (f.d_z(i).d_xi(i) for i in range(1, f.n + 1)))
 
 
-def phi(t: Scalar, f: Poly) -> Poly:
+def phi(t: Scalar, f: Poly, *, table: dict[MultiIndex, list[Expansion]] | None = None) -> Poly:
     """exp(t * cross_laplacian) applied to f, termwise in closed form:
 
         phi_t(x^a z^b) = sum over gamma <= min(a, b) of t^|gamma| * x^(a-gamma) z^(b-gamma)
@@ -58,24 +61,44 @@ def phi(t: Scalar, f: Poly) -> Poly:
 
     summed in integers over f's denominator times q^depth, t = p/q.  phi_{-t} is
     the inverse.
+
+    The expansion of a key, one (flat key, integer weight, |gamma|) triple per
+    gamma, does not depend on t.  ``table`` maps keys to their expansions, and
+    phi adds each key it has not seen.  A caller that maps related polynomials,
+    at t or -t, may pass one dict to all of those calls; the table is the
+    caller's and is freed with it.  Without one, each call builds a fresh dict,
+    so phi keeps no state between calls.
     """
-    n = f.n
-    depth = max((sum(map(min, k[:n], k[n:])) for k in f.nums), default=0)  # max |gamma|
-    if t == 0 or depth == 0:
+    if t == 0:
+        return f
+    if table is None:
+        table = {}
+    terms = [(c, table.get(key) or table.setdefault(key, _expansion(f.n, key)))
+             for key, c in f.nums.items()]
+    depth = max((e[-1][2] for _, e in terms), default=0)  # max |gamma|, the last triple's
+    if depth == 0:
         return f
     p, q = t.numerator, t.denominator
     t_pow = [p ** k * q ** (depth - k) for k in range(depth + 1)]  # t^k * q^depth
     out: dict[MultiIndex, int] = {}
-    for key, c in f.nums.items():
-        # (x exponent, z exponent, integer weight, |gamma|), one coordinate at a time
-        partial = [((), (), c, 0)]
-        for a, b in zip(key[:n], key[n:]):
-            partial = [(xp + (a - g,), zp + (b - g,), w * comb(a, g) * perm(b, g), k + g)
-                       for xp, zp, w, k in partial for g in range(min(a, b) + 1)]
-        for xp, zp, w, k in partial:
-            flat = xp + zp
-            out[flat] = out.get(flat, 0) + w * t_pow[k]
-    return Poly._make(n, out, f.den * q ** depth)
+    for c, expansion in terms:
+        for flat, w, k in expansion:
+            out[flat] = out.get(flat, 0) + c * w * t_pow[k]
+    return Poly._make(f.n, out, f.den * q ** depth)
+
+
+def _expansion(n: int, key: MultiIndex) -> list[Expansion]:
+    """phi's t-free expansion of the flat key x^a z^b: for each gamma <= min(a, b),
+    in increasing order coordinate by coordinate (so the largest gamma comes
+    last), the triple (key of x^(a-gamma) z^(b-gamma), its integer weight, |gamma|)."""
+    out = [(key, 1, 0)]
+    for i in range(n):
+        a, b = key[i], key[n + i]
+        if a and b:  # only a matched pair x_i, z_i lowers
+            out = [(k[:i] + (a - g,) + k[i + 1:n + i] + (b - g,) + k[n + i + 1:],
+                    w * comb(a, g) * perm(b, g), d + g)
+                   for k, w, d in out for g in range(min(a, b) + 1)]
+    return out
 
 
 def star(t: Scalar, f: Poly, g: Poly) -> Poly:

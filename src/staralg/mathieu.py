@@ -22,6 +22,8 @@ first record, so an abort on the cap prints nothing.  Star powers are computed
 in flow coordinates, where phi_t turns star_t into the ordinary product and
 x_i - t dz_i into x_i, so the image into the ideal (x): image_ev0 reads its
 verdicts there, the other oracles and the payloads in original coordinates.
+The flows of one experiment, its map-backs among them, share one table of
+phi's t-free expansions, which lives as long as the experiment's generator.
 All output is evidence at a truncated range, never a proof of anything.
 """
 
@@ -155,7 +157,9 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
     Powers and products are ordinary products in flow coordinates (phi_t;
     the identity for ordinary powers).  image_ev0 reads its verdicts there,
     as star_ev0(phi_{-t} F) = F at x = 0; only the payload, and the other
-    oracles, get them mapped back by phi_{-t}.
+    oracles, get them mapped back by phi_{-t}.  All of its phi calls, the
+    map-backs included, share one expansion table (see phi), so a key that
+    several products have is expanded once.
     Raises DegreeCapExceeded before the first record if any power or product
     up to mmax would outgrow degree_cap, and OracleDisagreement if an
     image-oracle verdict contradicts the closed form.
@@ -174,7 +178,8 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
         t = Fraction(0)  # star_0 is the ordinary product and phi_0 the identity
     else:
         raise ValueError(f"unknown power kind {power_kind!r}")
-    flow_f, flow_b = phi(t, f), phi(t, b)
+    table: dict = {}
+    flow_f, flow_b = phi(t, f, table=table), phi(t, b, table=table)
     # star_ev0 maps onto Q[z], which has no zero divisors: f^m is in the image
     # iff star_ev0(f) = 0, and b star f^m iff star_ev0(f) = 0 or star_ev0(b) = 0.
     f_in = star_ev0(t, f).is_zero()
@@ -195,11 +200,12 @@ def power_experiment(oracle: MembershipOracle, f: Poly, b: Poly, mmax: int,
     for m in range(1, mmax + 1):
         flow_power = flow_power * flow_f
         flow_product = flow_b * flow_power
-        product = phi(-t, flow_product)
+        product = phi(-t, flow_product, table=table)
         if oracle.kind == "image_ev0":
             verdicts = (_x_divisible(flow_power), _x_divisible(flow_product))
         else:
-            verdicts = (oracle.contains(phi(-t, flow_power)), oracle.contains(product))
+            verdicts = (oracle.contains(phi(-t, flow_power, table=table)),
+                        oracle.contains(product))
         if power_kind == "star" and verdicts != closed_form:
             raise OracleDisagreement(f"oracle {oracle.kind} at m={m} gives (power, product) "
                                      f"membership {verdicts}, star_ev0 gives {closed_form}")

@@ -18,11 +18,14 @@ error, never a coercion.
 
 ``format_poly`` prints the canonical text: terms in descending graded-lex
 order, coefficients as a/b, exponent 1 and coefficient 1 (except on the
-constant term) elided; parse_poly(format_poly(p), p.n) == p.
+constant term) elided; parse_poly(format_poly(p), p.n) == p.  A coefficient
+longer than sys.get_int_max_str_digits() digits cannot be printed; it raises
+DigitLimitExceeded.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -415,6 +418,10 @@ def _variable_names(n: int) -> tuple[str, ...]:
     return tuple(f"{letter}{i}" for letter in "xz" for i in range(1, n + 1))
 
 
+class DigitLimitExceeded(ValueError):
+    """A coefficient has more digits than Python converts to text."""
+
+
 def format_poly(p: Poly) -> str:
     """Canonical text form; round-trips through parse_poly exactly."""
     if p.is_zero():
@@ -425,7 +432,11 @@ def format_poly(p: Poly) -> str:
         factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, key) if e]
         num = p.nums[key]
         g = gcd(num, p.den)
-        magnitude = str(abs(num) // g) if g == p.den else f"{abs(num) // g}/{p.den // g}"
+        try:
+            magnitude = str(abs(num) // g) if g == p.den else f"{abs(num) // g}/{p.den // g}"
+        except ValueError:  # more digits than str() of an int allows
+            raise DigitLimitExceeded(f"a coefficient has more than {sys.get_int_max_str_digits()}"
+                                     " digits, the limit for printing an integer") from None
         if magnitude != "1" or not factors:
             factors.insert(0, magnitude)
         sign = (" + " if num > 0 else " - ") if pieces else ("" if num > 0 else "-")

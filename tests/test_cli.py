@@ -547,3 +547,20 @@ def test_expressions_over_the_term_budget_exit_two(capsys):
     code, out, err = run_cli(capsys, "phi", "--n", "1", "--f", "1" * 5000)
     assert (code, out, err) == (2, "", "staralg: error: integer too long: 5000 digits "
                                        "(line 1, column 1)\n")
+
+
+def test_results_too_long_to_print_exit_two(capsys):
+    # 123456789^500 has 4046 digits, and phi's weights reach 500! (1135 more):
+    # the result exists, but str() refuses its coefficients
+    limit = sys.get_int_max_str_digits()
+    message = (f"staralg: error: a coefficient has more than {limit} digits, "
+               "the limit for printing an integer\n")
+    code, out, err = run_cli(capsys, "phi", "--n", "1", "--f", "(123456789*x1*z1)^500")
+    assert (code, out, err) == (2, "", message)
+    # N x1 star z1 = N x1 z1 - N prints; at m = 2, N^2 has 8000 digits
+    big = "7" * 4000
+    code, out, err = run_cli(capsys, "mathieu", "--oracle", "image", "--n", "1",
+                             "--f", f"{big}*x1", "--b", "z1", "--mmax", "2")
+    assert (code, err) == (2, message)
+    assert out == ("kind=mathieu\toracle=image_ev0\tt=1\tm=1\tpower=member\tverdict=member"
+                   f"\tpayload={big}*x1*z1 - {big}\n")

@@ -76,6 +76,21 @@ def test_phi_preserves_degree_and_top_part(f, t):
         assert g.homogeneous_part(d) == f.homogeneous_part(d)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+           lambda n: st.lists(polys(n=n, max_degree=3), min_size=1, max_size=4)),
+       st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(-2, 3)]))
+def test_phi_shared_table_matches_fresh_tables(fs, t):
+    # one table across calls at t and -t, on the inputs and on their flows,
+    # as the map-backs of a power experiment share it
+    table = {}
+    for f in fs:
+        flow = phi(t, f, table=table)
+        assert flow == phi(t, f)
+        assert phi(-t, flow, table=table) == phi(-t, flow)
+        assert phi(-t, f, table=table) == phi(-t, f)
+
+
 # -- the star product ---------------------------------------------------------
 
 def test_star_at_zero_is_plain_product():

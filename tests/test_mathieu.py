@@ -224,10 +224,14 @@ def test_power_experiment_with_linear_oracle():
 
 
 @pytest.mark.parametrize("kind", ["image_ev0", "image_linear"])
-@pytest.mark.parametrize("f, b, n, mmax", [("x1*z1+x1^2", "x1^2*z1+x1", 1, 12),
-                                           ("x1*z2+x2^2*z1", "z1", 2, 8)])
-def test_power_experiment_matches_generic_star(kind, f, b, n, mmax):
-    oracle = MembershipOracle(kind, t=Fraction(1))
+@pytest.mark.parametrize("f, b, n, mmax, t", [
+    # an id names t unless it is 1; a fractional t is where the expansions
+    # that the map-backs share meet phi's q^depth scaling
+    pytest.param(*case, t, id="-".join(map(str, case)) + ("" if t == 1 else f"-t={t}"))
+    for case in [("x1*z1+x1^2", "x1^2*z1+x1", 1, 12), ("x1*z2+x2^2*z1", "z1", 2, 8)]
+    for t in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))])
+def test_power_experiment_matches_generic_star(kind, f, b, n, mmax, t):
+    oracle = MembershipOracle(kind, t=t)
     f, b = parse_poly(f, n), parse_poly(b, n)
     got = experiment(power_experiment(oracle, f, b, mmax, "star"), n)
     assert got == power_experiment_loop(oracle, f, b, mmax)
@@ -298,9 +302,9 @@ def test_flow_verdicts_map_only_the_product_back(monkeypatch, f, mmax):
     def counting(name):
         real = getattr(mathieu_module, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             counts[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(mathieu_module, name, counted)
 
