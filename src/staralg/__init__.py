@@ -16,7 +16,6 @@ The package provides, over exact rationals:
 """
 
 from .deform import (
-    StarTaylor,
     cross_laplacian,
     phi,
     star,
@@ -30,7 +29,6 @@ from .deform import (
 from .laguerre import (
     LaguerreSpec,
     even_identity_check,
-    gamma_moment,
     generating_check,
     identity_dk_check,
     integrate_weight,
@@ -81,7 +79,6 @@ __all__ = [
     "OutputRecord",
     "ParseError",
     "Poly",
-    "StarTaylor",
     "WeylOp",
     "basis_power_scan",
     "cross_laplacian",
@@ -89,7 +86,6 @@ __all__ = [
     "format_poly",
     "from_left_symbol",
     "from_right_symbol",
-    "gamma_moment",
     "generating_check",
     "identity_dk_check",
     "image_linear_witness",

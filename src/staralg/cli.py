@@ -7,20 +7,21 @@ at a time; `main` is the one writer of stdout.  It writes each line as it
 arrives, so `check ... | head` stops the work, and maps every exit code: 0 on
 success, 1 when a check record fails or an experiment aborts on the degree
 cap (checked before the first record, so nothing is printed), 2 on usage
-errors including malformed expressions and on a result whose coefficient has
-more digits than Python prints (sys.get_int_max_str_digits()), 3 on internal
-faults, among them any other ValueError from the engine, since input faults
-are refused before it, 141 on a closed stdout.  On exit 2 or 3 mid-run, the
-records written before the error stay on stdout.
+errors including malformed expressions and on a --t, result coefficient or
+record field with more digits than Python prints (sys.get_int_max_str_digits()),
+3 on internal faults, among them any other ValueError from the engine, since
+input faults are refused before it, 141 on a closed stdout.  On exit 2 or 3
+mid-run, the records written before the error stay on stdout.
 
 Resource limits, refused with exit 2 before anything is built: --n is in
 1..MAX_N, each size option in 0..its entry in SIZE_LIMITS (check_limits;
---mmax from 1 where it counts powers or recurrence steps), and expression
-text within the syntax limits (exponent, nesting, and the term pairs that a
-polynomial text multiplies).  Those limits bound one option each; a suite's
-record count, computed by its SUITES entry from --n and all of its bounds
-together, is at most RECORD_BUDGET.  The cost of one record still grows with
-the degrees and with --n.
+--mmax from 1 where it counts powers or recurrence steps, each --k entry to
+kmax and each --alpha entry to mmax), a laguerre polynomial's prod(alpha_i + 1)
+terms within TERM_BUDGET, and expression text within the syntax limits
+(exponent, nesting, and the term pairs that a polynomial text multiplies).
+Those limits bound one option each; a suite's record count, computed by its
+SUITES entry from --n and all of its bounds together, is at most
+RECORD_BUDGET.  The cost of one record still grows with the degrees and --n.
 
 Note: argument values starting with '-' (negative t, leading-minus
 polynomials) must be passed in --flag=value form.  --f/--g/--b/--input
@@ -34,7 +35,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Iterable
 
 from . import mathieu
@@ -67,8 +68,8 @@ MAX_N = 100  # largest --n accepted; every key of an n-variable term holds 2n ex
 # the benchmark use; at n = 1 each one alone still finishes in seconds.
 SIZE_LIMITS = {
     "degmax": 40,   # degree of the bases the check suites sweep
-    "mmax": 200,    # powers per experiment, Laguerre degree in recur and ode
-    "kmax": 100,    # largest Laguerre weight in ode and genfun
+    "mmax": 200,    # powers per experiment, Laguerre degree in recur, ode and --alpha
+    "kmax": 100,    # largest Laguerre weight in ode, genfun and --k
     "order": 32,    # truncation order of the series in genfun and starexp
     "count": 10_000,  # random probes in the oracles suite
     "degree_cap": 50,  # degree of the largest power or product in mathieu
@@ -77,6 +78,7 @@ SIZE_LIMITS = {
 # the suite's bounds before any work: the sizes above bound each option
 # alone, while a suite's basis grows with n and its bounds together.
 RECORD_BUDGET = 12_000
+TERM_BUDGET = 10_000  # largest number of terms, prod(alpha_i + 1), laguerre may print
 DEFAULT_DEGMAX = 4
 DEFAULT_MMAX = 8
 DEFAULT_ORDER = 8
@@ -87,10 +89,18 @@ class UsageError(Exception):
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """text as a rational that str() can print, as records print t; an exponent too
+    large to print is refused before Fraction builds its power of 10."""
+    limit = sys.get_int_max_str_digits()
     try:
-        return Fraction(text)
+        _, e, exponent = text.lower().partition("e")
+        if e and limit and abs(int(exponent)) > 2 * limit:
+            raise ValueError(f"more than {limit} digits")
+        value = Fraction(text)
+        str(value)  # raises past the digit limit
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational {text!r}: {exc}") from exc
+    return value
 
 
 def _parse_multiindex(text: str, n: int, name: str) -> MultiIndex:
@@ -241,9 +251,9 @@ def _cmd_phi(args) -> Iterable[str]:
 
 
 def _cmd_taylor(args) -> Iterable[str]:
-    coefficients = star_taylor(_parse_fraction(args.t), parse_poly(args.f, args.n)).coefficients
-    alphas = sorted(coefficients, key=lambda a: grlex_key((a, mi_zero(args.n))))
-    return [f"alpha={','.join(map(str, a))}\ta={format_poly(coefficients[a])}" for a in alphas]
+    coefficients = star_taylor(_parse_fraction(args.t), parse_poly(args.f, args.n))
+    return [f"alpha={','.join(map(str, a))}\ta={format_poly(coefficients[a])}"
+            for a in sorted(coefficients, key=grlex_key)]
 
 
 def _cmd_symbol(args) -> Iterable[str]:
@@ -271,8 +281,8 @@ def _suite_records(args) -> int:
 
 
 def check_limits(args) -> None:
-    """Refuse (UsageError) --n or a size option outside its range (module
-    docstring), and a check suite of more than RECORD_BUDGET records."""
+    """Refuse (UsageError) --n, a size option or a --k or --alpha entry outside its
+    range, and a check suite or laguerre polynomial over budget (module docstring)."""
     lows = {"n": 1, "mmax": int(args.command == "mathieu" or vars(args).get("suite") == "recur")}
     for name, high in (("n", MAX_N), *SIZE_LIMITS.items()):
         low = lows.get(name, 0)
@@ -282,6 +292,14 @@ def check_limits(args) -> None:
         if value is not None and value < low:
             raise UsageError(f"dimension must be >= 1, got {value}" if name == "n"
                              else f"{flag} {value} is below the limit {low}")
+    for name, high in (("k", SIZE_LIMITS["kmax"]), ("alpha", SIZE_LIMITS["mmax"])):
+        text = getattr(args, name, None)
+        if text is not None and max(_parse_multiindex(text, args.n, name)) > high:
+            raise UsageError(f"{name} entries must be at most {high}")
+    if args.command == "laguerre":
+        terms = prod(a + 1 for a in _parse_multiindex(args.alpha, args.n, "alpha"))
+        if terms > TERM_BUDGET:
+            raise UsageError(f"--alpha gives {terms} terms, above the budget {TERM_BUDGET}")
     records = _suite_records(args) if getattr(args, "suite", None) else 0
     if records > RECORD_BUDGET:
         raise UsageError(f"--suite {args.suite} at these sizes prints {records} records, "

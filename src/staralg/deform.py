@@ -20,9 +20,9 @@ as phi_{-t}(phi_t f * phi_t g), and powers, star monomials and the
 star-Taylor expansion go through phi likewise.  The double sum above is the
 definition, and the tests keep it as their independent reference.
 
-The module also provides the analogue of evaluation at x = 0 for the star
-algebra (``star_ev0``, an algebra homomorphism onto Q[z]) and the unique
-star-Taylor expansion f = sum_a (1/a!) x^a star_t c_a(z).
+The module also provides ``star_ev0``, the star analogue of evaluation at
+x = 0 (an algebra homomorphism onto Q[z]), and ``star_taylor``, the map a -> c_a
+of the unique star-Taylor expansion f = sum_a (1/a!) x^a star_t c_a(z).
 
 Everything here is pure and exact (a table a caller lends to phi only
 memoises).  Each function takes the parameter t (int or Fraction) first; the
@@ -31,8 +31,6 @@ dimension is that of the polynomials, never stored twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, perm, prod
 from operator import sub
 
@@ -164,31 +162,13 @@ def star_ev0(t: Scalar, f: Poly) -> Poly:
     return Poly._make(n, out, f.den * q ** depth)
 
 
-@dataclass(frozen=True)
-class StarTaylor:
-    """The expansion f = sum_a (1/a!) x^a star_t coefficients[a](z).
-
-    Only multi-indices with a nonzero coefficient polynomial are stored;
-    each coefficient lies in Q[z].  The expansion is unique.
-    """
-
-    n: int
-    t: Scalar
-    coefficients: dict[MultiIndex, Poly]
-
-    def reconstruct(self) -> Poly:
-        """Re-assemble the source polynomial exactly, as phi_{-t}(sum_a x^a c_a / a!):
-        phi_t fixes x^a and each c_a in Q[z], so x^a star_t c_a = phi_{-t}(x^a c_a)."""
-        flow = Poly.sum(self.n, (Poly.xi_monomial(self.n, a, Fraction(1, mi_factorial(a))) * c
-                                 for a, c in self.coefficients.items()))
-        return phi(-self.t, flow)
-
-
-def star_taylor(t: Scalar, f: Poly) -> StarTaylor:
-    """Expand f in star-Taylor form, reading c_a = a! * [x^a] phi_t(f) off one
-    flow: phi_t fixes x^a and Q[z], so phi_t(f) = sum_a x^a c_a(z) / a!."""
+def star_taylor(t: Scalar, f: Poly) -> dict[MultiIndex, Poly]:
+    """The star-Taylor expansion f = sum_a (1/a!) x^a star_t c_a(z), as the map
+    a -> c_a over the multi-indices with a nonzero c_a; it is unique.  Each c_a
+    = a! * [x^a] phi_t(f) is read off one flow: phi_t fixes x^a and Q[z], so
+    phi_t(f) = sum_a x^a c_a(z) / a!."""
     n, zero, flow = f.n, mi_zero(f.n), phi(t, f)
     grouped: dict[MultiIndex, dict[MultiIndex, int]] = {}
     for k, c in flow.nums.items():
         grouped.setdefault(k[:n], {})[zero + k[n:]] = c * mi_factorial(k[:n])
-    return StarTaylor(n, t, {a: Poly._make(n, nums, flow.den) for a, nums in grouped.items()})
+    return {a: Poly._make(n, nums, flow.den) for a, nums in grouped.items()}

@@ -149,15 +149,8 @@ def _genfun_series(kmax: int, order: int, letter: Poly) -> list[USeries]:
 # Exact integration against the Laguerre weights
 # ---------------------------------------------------------------------------
 
-def gamma_moment(j: int) -> int:
-    """The moment integral of z^j e^(-z) over (0, inf): exactly j!."""
-    if j < 0:
-        raise ValueError(f"moment index must be non-negative, got {j}")
-    return factorial(j)
-
-
 def integrate_weight(p: Poly, k: MultiIndex) -> Fraction:
-    """Integrate p(z) z^k e^(-sum z_i) over the positive orthant, termwise."""
+    """Integrate p(z) z^k e^(-sum z_i) over the positive orthant, termwise by j! moments."""
     if not p.is_z_only():
         raise ValueError("integrand must lie in Q[z]")
     if len(k) != p.n:
@@ -165,7 +158,7 @@ def integrate_weight(p: Poly, k: MultiIndex) -> Fraction:
     total = 0
     for key, c in p.nums.items():  # integer numerators over p.den
         for e, kk in zip(key[p.n:], k):
-            c *= gamma_moment(e + kk)
+            c *= factorial(e + kk)
         total += c
     return Fraction(total, p.den)
 

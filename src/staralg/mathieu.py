@@ -62,13 +62,12 @@ def in_image_ev0(t: Scalar, p: Poly) -> bool:
     return star_ev0(t, p).is_zero()
 
 
-def in_image_linear(t: Scalar, p: Poly, degree_bound: int | None = None) -> bool:
+def in_image_linear(t: Scalar, p: Poly) -> bool:
     """Membership in Im(x - t dz) by dividing p through the operators."""
-    return image_linear_witness(t, p, degree_bound) is not None
+    return image_linear_witness(t, p) is not None
 
 
-def image_linear_witness(t: Scalar, p: Poly,
-                         degree_bound: int | None = None) -> list[Poly] | None:
+def image_linear_witness(t: Scalar, p: Poly) -> list[Poly] | None:
     """Find g_1..g_n with p = sum_i (x_i - t dz_i) g_i, or None.
 
     Divides p by the operators from the top x-degree down.  A term
@@ -79,8 +78,7 @@ def image_linear_witness(t: Scalar, p: Poly,
     and the second term is carried one x-degree down.  What is left lies in
     Q[z], where the image is zero, so p is a member iff nothing is left.  The
     witness is the unique one with each g_i free of x_1..x_(i-1), and every
-    term of it has total degree below the term it came from; it is refused
-    (None) if some g_i exceeds degree_bound (default deg(p) - 1).
+    term of it has total degree below the term it came from, so below deg(p).
     """
     # in integers: a value c at x-depth d is stored as c * den * q^(top - d), t = num/q
     n, num, q = p.n, t.numerator, t.denominator
@@ -100,8 +98,7 @@ def image_linear_witness(t: Scalar, p: Poly,
             if num and k[n + i]:
                 key = lowered[:n + i] + (k[n + i] - 1,) + lowered[n + i + 1:]
                 below[key] = below.get(key, 0) + c * num * k[n + i]
-    bound = p.degree().total - 1 if degree_bound is None else degree_bound
-    if any(by_depth.get(0, {}).values()) or any(sum(k) > bound for g in quotients for k in g):
+    if any(by_depth.get(0, {}).values()):
         return None
     return [Poly._make(n, g, p.den * q ** top) for g in quotients]
 

@@ -17,10 +17,10 @@ x1..xn / z1..zn.  Mixing polynomials of different dimension n is a hard
 error, never a coercion.
 
 ``format_poly`` prints the canonical text: terms in descending graded-lex
-order, coefficients as a/b, exponent 1 and coefficient 1 (except on the
-constant term) elided; parse_poly(format_poly(p), p.n) == p.  A coefficient
-longer than sys.get_int_max_str_digits() digits cannot be printed; it raises
-DigitLimitExceeded.
+order (``grlex_key``), coefficients as a/b, exponent 1 and coefficient 1
+(except on the constant term) elided; parse_poly(format_poly(p), p.n) == p.
+A coefficient longer than sys.get_int_max_str_digits() digits cannot be
+printed; it raises DigitLimitExceeded.
 """
 
 from __future__ import annotations
@@ -100,11 +100,9 @@ def compositions(n: int, total: int) -> Iterator[MultiIndex]:
             yield (head,) + tail
 
 
-def grlex_key(key: TermKey) -> tuple[int, tuple[int, ...]]:
-    """Graded-lex sort key on the concatenated exponent (x1..xn, z1..zn)."""
-    xi, z = key
-    cat = xi + z
-    return (sum(cat), cat)
+def grlex_key(key: MultiIndex) -> tuple[int, MultiIndex]:
+    """Graded-lex sort key on a flat key, the concatenated exponent (x1..xn, z1..zn)."""
+    return (sum(key), key)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +241,6 @@ class Poly:
         fits = len(xi_exp) == len(z_exp) == self.n
         return Fraction(self.nums.get((*xi_exp, *z_exp), 0) if fits else 0, self.den)
 
-    def constant_term(self) -> Fraction:
-        return self.coefficient(mi_zero(self.n), mi_zero(self.n))
-
     def degree(self) -> Degree:
         """(total, x, z) degrees; (-1, -1, -1) for the zero polynomial."""
         if not self.nums:
@@ -255,7 +250,8 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
         """Terms in descending graded-lex order; the canonical iteration order."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        return [((k[:self.n], k[self.n:]), Fraction(self.nums[k], self.den))
+                for k in sorted(self.nums, key=grlex_key, reverse=True)]
 
     def homogeneous_part(self, total_degree: int) -> "Poly":
         """The homogeneous component of the given total degree."""
@@ -365,7 +361,7 @@ class Poly:
             key = tuple(0 if j in values else e for j, e in enumerate(k))
             out[key] = out.get(key, 0) + w
         result = Poly._make(n, out, den)
-        return result.constant_term() if xi_point is not None and z_point is not None else result
+        return result.coefficient(mi_zero(n), mi_zero(n)) if len(values) == 2 * n else result
 
     def _divide_monomial(self, side: int, k: MultiIndex) -> "Poly":
         """Exact division by x^k (side 0) or z^k (side 1); ValueError unless every term divides."""
@@ -419,7 +415,11 @@ def _variable_names(n: int) -> tuple[str, ...]:
 
 
 class DigitLimitExceeded(ValueError):
-    """A coefficient has more digits than Python converts to text."""
+    """A number has more digits than Python converts to text."""
+
+    def __init__(self, what: str) -> None:
+        super().__init__(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+                         "the limit for printing an integer")
 
 
 def format_poly(p: Poly) -> str:
@@ -428,15 +428,14 @@ def format_poly(p: Poly) -> str:
         return "0"
     names = _variable_names(p.n)
     pieces = []
-    for key in sorted(p.nums, key=lambda k: (sum(k), k), reverse=True):  # graded lex
+    for key in sorted(p.nums, key=grlex_key, reverse=True):
         factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, key) if e]
         num = p.nums[key]
         g = gcd(num, p.den)
         try:
             magnitude = str(abs(num) // g) if g == p.den else f"{abs(num) // g}/{p.den // g}"
         except ValueError:  # more digits than str() of an int allows
-            raise DigitLimitExceeded(f"a coefficient has more than {sys.get_int_max_str_digits()}"
-                                     " digits, the limit for printing an integer") from None
+            raise DigitLimitExceeded("a coefficient") from None
         if magnitude != "1" or not factors:
             factors.insert(0, magnitude)
         sign = (" + " if num > 0 else " - ") if pieces else ("" if num > 0 else "-")

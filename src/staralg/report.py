@@ -8,7 +8,8 @@ of tab-separated key=value fields in a fixed order:
 Producers pass raw values and ``OutputRecord.of`` (or ``check``, for a
 pass/fail case) renders each one by a single rule: a Poly prints canonically
 (``format_poly``), a tuple is comma-joined, anything else goes through
-``str``.  Parameters keep keyword order.  Lines are deterministic for
+``str`` (a number too long for it raises DigitLimitExceeded, as in
+format_poly).  Parameters keep keyword order.  Lines are deterministic for
 identical inputs, so logs are diffable and stream-processable.
 
 Check suites and power experiments are generators: each record is written
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Poly, format_poly
+from .poly import DigitLimitExceeded, Poly, format_poly
 
 
 class InternalFault(RuntimeError):
@@ -33,14 +34,12 @@ class InternalFault(RuntimeError):
 def _text(value: object) -> str:
     if type(value) is str:
         return value
-    if isinstance(value, tuple):
-        return ",".join(map(str, value))
-    return format_poly(value) if isinstance(value, Poly) else str(value)
-
-
-def _fields(params: dict[str, object]) -> tuple[tuple[str, str], ...]:
-    """Keyword parameters, packed once by the caller, rendered in order."""
-    return tuple([(k, _text(v)) for k, v in params.items()])
+    if isinstance(value, Poly):
+        return format_poly(value)
+    try:
+        return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    except ValueError:  # more digits than str() of an int allows
+        raise DigitLimitExceeded("a number") from None
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,8 @@ class OutputRecord:
 
     @classmethod
     def of(cls, kind: str, verdict: str, payload: object = "", **params: object) -> OutputRecord:
-        """The record with each parameter and the payload rendered as text."""
-        return cls(kind, _fields(params), verdict, _text(payload))
+        """The record with each parameter, in keyword order, and the payload rendered as text."""
+        return cls(kind, tuple([(k, _text(v)) for k, v in params.items()]), verdict, _text(payload))
 
     def line(self) -> str:
         params = "".join(f"\t{k}={v}" for k, v in self.params)
@@ -62,4 +61,4 @@ class OutputRecord:
 
 def check(kind: str, passed: bool, payload: object = "", **params: object) -> OutputRecord:
     """The record of one check case: verdict pass or fail."""
-    return OutputRecord(kind, _fields(params), "pass" if passed else "fail", _text(payload))
+    return OutputRecord.of(kind, "pass" if passed else "fail", payload, **params)

@@ -40,11 +40,6 @@ class USeries:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def constant(cls, order: int, n: int, value: Scalar = 1) -> "USeries":
-        head = Poly.const(n, value)
-        return cls(order, (head,) + tuple(Poly.zero(n) for _ in range(order)))
-
-    @classmethod
     def geometric_tail(cls, order: int, n: int) -> "USeries":
         """u / (1 - u) truncated: coefficient 1 at every positive order."""
         return cls(order, (Poly.zero(n),) + tuple(Poly.const(n, 1) for _ in range(order)))

@@ -6,15 +6,16 @@ iterated partials instead of flow coordinates, the Leibniz rule on each pair
 of operator terms instead of the symbol product, one Fraction per term
 product instead of integers over a common denominator, an exact linear solve
 instead of division by the image operators, Horner's rule instead of the exp
-recurrence, a binomial closed form instead of repeated division by 1 - u), so
-a test never compares a fast path with itself.
+recurrence, a binomial closed form instead of repeated division by 1 - u,
+the inverse flow instead of the forward one), so a test never compares a fast
+path with itself.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from staralg import linalg
-from staralg.deform import StarTaylor, cross_laplacian, star_ev0
+from staralg.deform import cross_laplacian, phi, star_ev0
 from staralg.poly import (
     Poly,
     compositions,
@@ -28,7 +29,6 @@ from staralg.poly import (
     mi_unit,
     mi_zero,
 )
-from staralg.laguerre import gamma_moment
 from staralg.series import USeries
 from staralg.weyl import WeylOp
 
@@ -49,15 +49,21 @@ def integrate_weight_by_fractions(p: Poly, k) -> Fraction:
     for (_, ze), c in p.terms.items():
         m = 1
         for e, kk in zip(ze, k):
-            m *= gamma_moment(e + kk)
+            m *= factorial(e + kk)
         total += c * m
     return total
+
+
+def constant_series(order: int, n: int, value=1) -> USeries:
+    """The series with constant coefficient value and zero at every positive order."""
+    head = Poly.const(n, value)
+    return USeries(order, (head,) + tuple(Poly.zero(n) for _ in range(order)))
 
 
 def exp_by_horner(s: USeries) -> USeries:
     """exp of a series with zero constant term by Horner's rule,
     1 + s(1 + s/2(1 + ... (1 + s/N))), one series product per step."""
-    one = USeries.constant(s.order, s.n, 1)
+    one = constant_series(s.order, s.n, 1)
     acc = one
     for j in range(s.order, 0, -1):
         acc = one + (s * acc).scale(Fraction(1, j))
@@ -104,10 +110,18 @@ def star_double_sum(t, f: Poly, g: Poly) -> Poly:
     return Poly.sum(n, pieces)
 
 
-def star_taylor_by_derivatives(t, f: Poly) -> StarTaylor:
+def star_taylor_by_derivatives(t, f: Poly) -> dict:
     """The star-Taylor expansion with coefficient a equal to star_ev0(dxi^a f)."""
     coeffs = {a: star_ev0(t, f.d_multi("xi", a)) for a in iter_multiindices(f.n, f.degree().xi)}
-    return StarTaylor(f.n, t, {a: c for a, c in coeffs.items() if not c.is_zero()})
+    return {a: c for a, c in coeffs.items() if not c.is_zero()}
+
+
+def reconstruct_star_taylor(t, n: int, coefficients: dict) -> Poly:
+    """sum_a (1/a!) x^a star_t c_a in n variables, as phi_{-t}(sum_a x^a c_a / a!):
+    phi_t fixes x^a and each c_a in Q[z], so x^a star_t c_a = phi_{-t}(x^a c_a)."""
+    flow = Poly.sum(n, (Poly.xi_monomial(n, a, Fraction(1, mi_factorial(a))) * c
+                        for a, c in coefficients.items()))
+    return phi(-t, flow)
 
 
 def phi_series(t, f: Poly) -> Poly:
@@ -211,7 +225,7 @@ def _solve_graded_component(t, n: int, q: dict, grade: int, bound: int):
             for ze in compositions(n, total - x_total):
                 for i in range(n):
                     columns.append((i, (xe, ze)))
-    columns.sort(key=lambda col: (col[0], grlex_key(col[1])))
+    columns.sort(key=lambda col: (col[0], grlex_key(col[1][0] + col[1][1])))
 
     row_index = {}
 

@@ -14,10 +14,12 @@ import staralg
 from staralg import mathieu
 from staralg.cli import (
     _HANDLERS,
+    LAGUERRE_ROUTES,
     MAX_N,
     RECORD_BUDGET,
     SIZE_LIMITS,
     SUITES,
+    TERM_BUDGET,
     _suite_records,
     build_parser,
     main,
@@ -564,3 +566,62 @@ def test_results_too_long_to_print_exit_two(capsys):
     assert (code, err) == (2, message)
     assert out == ("kind=mathieu\toracle=image_ev0\tt=1\tm=1\tpower=member\tverdict=member"
                    f"\tpayload={big}*x1*z1 - {big}\n")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["mathieu", "--oracle", "image", "--n", "1", "--t=1e-5000", "--f", "x1", "--b", "z1",
+      "--mmax", "1"], "Exceeds the limit"),
+    (["check", "--suite", "oracles", "--n", "1", "--degmax", "1", "--count", "1", "--t=1e5000"],
+     "Exceeds the limit"),
+    # past twice the digit limit, refused before Fraction builds the power of 10,
+    # which at 1e10000000 took 8 s and at 1e100000000 over 120 s
+    (["phi", "--n", "1", "--t=1e100000", "--f", "x1*z1"],
+     f"more than {sys.get_int_max_str_digits()} digits\n"),
+], ids=["mathieu", "oracles", "exponent"])
+def test_a_t_too_long_to_print_is_refused(capsys, argv, reason):
+    # every record prints t, and str() refuses an integer past the digit limit
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    t = next(a for a in argv if a.startswith("--t="))[len("--t="):]
+    assert err.startswith(f"staralg: error: bad rational {t!r}: {reason}")
+
+
+def test_printable_t_at_the_digit_limit_is_accepted(capsys):
+    # 10^4299 has 4300 digits, as many as str() prints; 10^4301 / 10^3 reduces to 10^4298
+    for t in ("1e4299", "0.001e4301"):
+        code, out, _ = run_cli(capsys, "phi", "--n", "1", f"--t={t}", "--f", "x1")
+        assert (code, out) == (0, "x1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--suite", "ortho", "--n", "1", "--degmax", "0", "--k", "300000"],
+     f"k entries must be at most {SIZE_LIMITS['kmax']}"),
+    (["mathieu", "--oracle", "laguerre", "--n", "1", "--k", "300000", "--f", "z1", "--b", "1",
+      "--mmax", "1"], f"k entries must be at most {SIZE_LIMITS['kmax']}"),
+    (["laguerre", "--n", "1", "--alpha", str(SIZE_LIMITS["mmax"] + 1), "--k", "0"],
+     f"alpha entries must be at most {SIZE_LIMITS['mmax']}"),
+    (["laguerre", "--n", "10", "--alpha", ",".join(["2"] * 10), "--k", ",".join(["0"] * 10)],
+     f"--alpha gives 59049 terms, above the budget {TERM_BUDGET}"),
+], ids=["ortho-k", "mathieu-k", "alpha", "laguerre-terms"])
+def test_multiindex_entries_and_laguerre_terms_are_refused_above_their_limits(
+        capsys, monkeypatch, argv, message):
+    # refused before any work: the cost of these grows with k! or prod(alpha_i + 1)
+    def entered(*args):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr("staralg.cli.orthogonality_check", entered)
+    monkeypatch.setattr("staralg.cli.mathieu.power_experiment", entered)
+    for via in LAGUERRE_ROUTES:
+        monkeypatch.setitem(LAGUERRE_ROUTES, via, entered)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"staralg: error: {message}\n")
+
+
+def test_multiindex_entries_and_laguerre_terms_at_their_limits_are_accepted(capsys):
+    kmax, mmax = SIZE_LIMITS["kmax"], SIZE_LIMITS["mmax"]
+    assert (9 + 1) ** 4 == TERM_BUDGET  # the terms of the second argv
+    for argv in (["laguerre", "--n", "1", "--alpha", str(mmax), "--k", str(kmax), "--via", "star"],
+                 ["laguerre", "--n", "4", "--alpha", "9,9,9,9", "--k", "0,0,0,0"],
+                 ["check", "--suite", "ortho", "--n", "1", "--degmax", "0", "--k", str(kmax)]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out, argv

@@ -13,7 +13,6 @@ from staralg.cli import main
 from staralg.laguerre import (
     LaguerreSpec,
     even_identity_check,
-    gamma_moment,
     generating_check,
     identity_dk_check,
     integrate_weight,
@@ -142,14 +141,6 @@ def test_three_way_agreement_small():
                 explicit = laguerre(spec)
                 assert laguerre_from_star_at_one(spec) == explicit
                 assert laguerre_genfun(spec) == explicit
-
-
-def test_gamma_moment():
-    assert gamma_moment(0) == 1
-    assert gamma_moment(3) == 6
-    assert gamma_moment(5) == 120
-    with pytest.raises(ValueError):
-        gamma_moment(-1)
 
 
 def test_integrate_weight_values():

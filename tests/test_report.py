@@ -1,6 +1,9 @@
+import sys
 from fractions import Fraction
 
-from staralg.poly import Poly
+import pytest
+
+from staralg.poly import DigitLimitExceeded, Poly
 from staralg.report import OutputRecord, check
 
 
@@ -27,3 +30,15 @@ def test_check_builds_pass_and_fail_records():
     assert [r.verdict for r in records] == ["pass", "fail", "pass"]
     assert records[1].line() == "kind=demo\tm=2\tverdict=fail\tpayload=0"
     assert records[0] == OutputRecord.of("demo", "pass", m=1)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 10 ** 5000), 10 ** 5000, (1, 10 ** 5000)],
+                         ids=["fraction", "int", "tuple"])
+def test_a_number_too_long_to_print_raises_digit_limit_exceeded(value):
+    # str() refuses more digits than sys.get_int_max_str_digits(), as format_poly does
+    message = (f"a number has more than {sys.get_int_max_str_digits()} digits, "
+               "the limit for printing an integer")
+    with pytest.raises(DigitLimitExceeded, match=f"^{message}$"):
+        OutputRecord.of("demo", "pass", t=value)
+    with pytest.raises(DigitLimitExceeded, match=f"^{message}$"):
+        check("demo", True, value)

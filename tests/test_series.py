@@ -11,11 +11,11 @@ from staralg.poly import Poly
 from staralg.series import USeries
 
 from conftest import mixed_coefficients, polys
-from reference import exp_by_horner, inv_one_minus_u_pow
+from reference import constant_series, exp_by_horner, inv_one_minus_u_pow
 
 
 def test_constant_and_geometric():
-    one = USeries.constant(3, 1)
+    one = constant_series(3, 1)
     assert one.coeffs[0] == Poly.const(1, 1)
     assert all(c.is_zero() for c in one.coeffs[1:])
     tail = USeries.geometric_tail(3, 1)
@@ -33,7 +33,7 @@ def test_mul_truncates():
 
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        USeries.constant(2, 1) * USeries.constant(3, 1)
+        constant_series(2, 1) * constant_series(3, 1)
 
 
 def test_inv_one_minus_u_pow():
@@ -44,7 +44,7 @@ def test_inv_one_minus_u_pow():
 
 def test_exp_requires_zero_constant_term():
     with pytest.raises(ValueError):
-        USeries.constant(2, 1).exp()
+        constant_series(2, 1).exp()
 
 
 def test_exp_matches_direct_sum():
@@ -52,8 +52,8 @@ def test_exp_matches_direct_sum():
     z = Poly.z_var(1, 1)
     order = 5
     s = USeries(order, (Poly.zero(1), z, z * z) + tuple(Poly.zero(1) for _ in range(order - 2)))
-    direct = USeries.constant(order, 1)
-    power = USeries.constant(order, 1)
+    direct = constant_series(order, 1)
+    power = constant_series(order, 1)
     for j in range(1, order + 1):
         power = power * s
         direct = direct + power.scale(Fraction(1, factorial(j)))
